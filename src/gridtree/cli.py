@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on usage problems (bad flags, missing or
-unparseable input files), 2 on model/validity errors (invalid placement,
-inconsistent observation, ...).
+Exit status: 0 on success, 1 on usage problems (bad or conflicting flags,
+unknown detector names, missing or unparseable input files), 2 on
+model/validity errors (invalid placement, inconsistent observation, ...).
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .fixture import build_island_fixture
 from .graph import enumerate_spanning_trees
 from .placement import enumerate_valid_placements, is_valid_placement
 from .simulate import DETECTOR_NAMES, ExperimentConfig, evaluate_placements, run_stochastic_sweep
+
+
+class _UsageError(Exception):
+    """Flags that parse but do not fit together; reported with exit status 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,11 +174,13 @@ def _cmd_check_placement(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    method = args.method
+    if method == "enum" and args.local_search:
+        raise _UsageError("--local-search needs a detector that returns one tree, not enum")
     graph, model = _load_graph_and_model(args)
     placement = fileio.read_placement(args.placement)
     obs = fileio.read_observation(args.obs)
     restriction = _restriction(graph, args)
-    method = args.method
     if method == "map":
         result = detect_map(graph, placement, model, obs, restriction)
     elif method == "zeroflow":
@@ -187,8 +193,10 @@ def _cmd_detect(args) -> int:
         result = detect_deterministic(graph, placement, model.means, obs, restriction)
     else:  # enum
         hits = detect_enumeration_oracle(graph, placement, model.means, obs, restriction)
-        for t in hits:
-            print(t.label())
+        labels = [t.label() for t in hits]
+        _emit(labels, None)
+        if args.out:
+            _emit(labels, args.out)
         return 0
     if args.local_search:
         result = local_map_search(graph, placement, model, obs, result.tree, required_edges=restriction)
@@ -210,6 +218,12 @@ def _sigma_list(args) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    detectors = tuple(args.method.split(","))
+    unknown = [d for d in detectors if d not in DETECTOR_NAMES]
+    if unknown:
+        raise _UsageError(
+            f"unknown --method {', '.join(unknown)}; choose from {', '.join(DETECTOR_NAMES)}"
+        )
     graph = fileio.read_graph(args.graph)
     model = fileio.read_loads(args.loads)
     graph = graph.with_load_vertices(model.nodes)
@@ -220,7 +234,7 @@ def _cmd_sweep(args) -> int:
         placements=(placement,),
         sigmas=_sigma_list(args),
         trials=args.trials,
-        detectors=tuple(args.method.split(",")),
+        detectors=detectors,
         seed=args.seed,
         restriction=_restriction(graph, args),
         sigma_mode="cv" if args.cv else "absolute",
@@ -280,7 +294,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"gridtree: missing file: {exc.filename}", file=sys.stderr)
         return 1
-    except GraphFormatError as exc:
+    except (_UsageError, GraphFormatError) as exc:
         print(f"gridtree: {exc}", file=sys.stderr)
         return 1
     except GridTreeError as exc:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     InconsistentObservationError,
     InvalidPlacementError,
+    ModelError,
     NoFeasibleHypothesisError,
     UnsupportedPlacementError,
 )
@@ -30,7 +31,6 @@ from .flows import (
 from .graph import (
     Graph,
     SpanningTree,
-    build_incidence,
     circuit_rank,
     enumerate_spanning_trees,
     is_spanning_tree,
@@ -64,6 +64,15 @@ class DetectionResult:
         ]
 
 
+def _row_max_abs(A: np.ndarray) -> np.ndarray:
+    """max |A[i, :]| for each row; a loop over the few columns, which numpy runs
+    much faster than a reduction along axis 1."""
+    out = np.abs(A[:, 0])
+    for j in range(1, A.shape[1]):
+        np.maximum(out, np.abs(A[:, j]), out=out)
+    return out
+
+
 class ReducedGaussian:
     """Gaussian with possibly singular covariance, evaluated on independent coords.
 
@@ -90,6 +99,8 @@ class ReducedGaussian:
                 keep = trial
         dep = [j for j in range(m) if j not in keep]
         self.mean = mean
+        # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
+        self.tol_scale = max(1.0, float(np.max(np.abs(mean), initial=0.0)))
         self.keep = np.array(keep, dtype=int)
         self.dep = np.array(dep, dtype=int)
         self.rank = len(keep)
@@ -112,17 +123,11 @@ class ReducedGaussian:
             self.dep_coef = np.zeros((m, 0))
             self.dep_offset = mean.copy()
 
-    def _tol(self, values: np.ndarray) -> float:
-        scale = max(1.0, float(np.max(np.abs(self.mean), initial=0.0)))
-        if values.size:
-            scale = max(scale, float(np.max(np.abs(values))))
-        return 1e-9 * scale
-
     def logpdf(self, values: Sequence[float]) -> float:
         v = np.asarray(values, dtype=float)
-        tol = self._tol(v)
         if self.dep.size:
             implied = self.dep_offset + self.dep_coef @ v[self.keep]
+            tol = 1e-9 * max(self.tol_scale, float(np.max(np.abs(v))))
             if np.max(np.abs(v[self.dep] - implied)) > tol:
                 return _NEG_INF
         if not self.rank:
@@ -133,12 +138,12 @@ class ReducedGaussian:
 
     def logpdf_batch(self, values: np.ndarray) -> np.ndarray:
         V = np.asarray(values, dtype=float)
-        tol = self._tol(V)
         out = np.zeros(len(V))
         ok = np.ones(len(V), dtype=bool)
         if self.dep.size:
             implied = self.dep_offset + V[:, self.keep] @ self.dep_coef.T
-            ok = np.max(np.abs(V[:, self.dep] - implied), axis=1) <= tol
+            tol = 1e-9 * np.maximum(self.tol_scale, _row_max_abs(V))  # one per row
+            ok = _row_max_abs(V[:, self.dep] - implied) <= tol
         if self.rank:
             d = V[:, self.keep] - self.mean_keep
             quad = np.einsum("ij,jk,ik->i", d, self.inv, d)
@@ -178,6 +183,14 @@ class HypothesisCache:
         return b
 
 
+def _finite(values: Sequence[float], what: str) -> np.ndarray:
+    """``values`` as a float array; ModelError if any entry is NaN or infinite."""
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ModelError(f"{what} must be finite")
+    return v
+
+
 def log_likelihood(
     graph: Graph,
     tree: SpanningTree,
@@ -210,8 +223,8 @@ def detect_deterministic(
     """
     if not is_valid_placement(graph, placement):
         raise InvalidPlacementError("deterministic decoding needs a valid placement")
-    x = np.asarray(loads, dtype=float)
-    f = relaxed_flow_solution(graph, placement, x, observation)
+    x = _finite(loads, "loads")
+    f = relaxed_flow_solution(graph, placement, x, _finite(observation, "observation"))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)))
     support = {e for e in range(graph.n_edges) if abs(f[e]) > tol}
     for eid in required_edges:
@@ -239,8 +252,8 @@ def detect_enumeration_oracle(
     restriction: Iterable[int] = (),
 ) -> tuple[SpanningTree, ...]:
     """Every tree whose exact readings match the observation; brute force."""
-    x = np.asarray(loads, dtype=float)
-    s = np.asarray(observation, dtype=float)
+    x = _finite(loads, "loads")
+    s = _finite(observation, "observation")
     tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)), float(np.max(np.abs(s), initial=0.0)))
     cols = list(placement.edge_ids)
     hits = []
@@ -268,6 +281,7 @@ def detect_map(
     Ties break toward the lexicographically smallest sorted edge tuple, which
     is the enumeration order.  Raises if every hypothesis is impossible.
     """
+    observation = _finite(observation, "observation")
     if cache is None:
         cache = HypothesisCache(graph, placement, model)
     if hypotheses is None:
@@ -308,8 +322,7 @@ def zero_flow_transform(graph: Graph, placement: Placement) -> np.ndarray:
     free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
     if len(free) != graph.n_vertices - 1:
         raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
-    B = build_incidence(graph).astype(float)
-    Br = np.delete(B, graph.root_index, axis=0)
+    Br = graph.reduced_incidence
     try:
         jn = -np.linalg.solve(Br[:, free], Br[:, measured])
     except np.linalg.LinAlgError as exc:
@@ -382,6 +395,7 @@ def detect_zero_flow_map(
     if not is_valid_placement(graph, placement):
         raise InvalidPlacementError("zero-flow test needs a valid placement")
     model.check_graph(graph)
+    observation = _finite(observation, "observation")
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     J = zero_flow_transform(graph, placement)
     best_tree = None
@@ -417,13 +431,23 @@ def detect_fmst(
     model: LoadModel,
     observation: Sequence[float],
     required_edges: Iterable[int] = (),
+    cache: HypothesisCache | None = None,
 ) -> DetectionResult:
     """Two-step approximation: relaxed flow from forecasts, then the spanning
-    tree carrying the largest total |flow| (greedy, ties by edge id)."""
+    tree carrying the largest total |flow| (greedy, ties by edge id).
+
+    The chosen tree is scored by its Gaussian log-likelihood: through
+    ``cache`` when given (the same Gaussian, so the same value), otherwise
+    by a fresh build.
+    """
     model.check_graph(graph)
+    observation = _finite(observation, "observation")
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     tree = max_weight_spanning_tree(graph, np.abs(f_o), required_edges)
-    ll = log_likelihood(graph, tree, placement, model, observation)
+    if cache is None:
+        ll = log_likelihood(graph, tree, placement, model, observation)
+    else:
+        ll = cache.loglik(tree, observation)
     return DetectionResult(tree=tree, log_likelihood=ll, method="fmst")
 
 
@@ -489,6 +513,7 @@ def detect_cycle_descent(
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
     """
+    observation = _finite(observation, "observation")
     if cache is None:
         cache = HypothesisCache(graph, placement, model)
     required = frozenset(required_edges)
@@ -549,6 +574,7 @@ def local_map_search(
     lies on no other basis cycle.  Neighborhood size is at most the sum of
     (cycle length - 1) over the basis.
     """
+    observation = _finite(observation, "observation")
     if cache is None:
         cache = HypothesisCache(graph, placement, model)
     required = frozenset(required_edges)

@@ -9,11 +9,13 @@ Placement file:   sensor <k> <edge id>        (k dense from 0)
 Load file:        load <vertex id> <mean> <stddev>
 Observation file: obs <k> <value>
 
-Blank lines and lines starting with '#' are ignored.  All floats are decimal
-and locale-independent.
+Blank lines and lines starting with '#' are ignored.  All floats are decimal,
+finite and locale-independent.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -114,6 +116,8 @@ def parse_loads(text: str) -> LoadModel:
             mean, std = float(parts[2]), float(parts[3])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: mean/stddev must be numbers") from None
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise GraphFormatError(f"line {lineno}: mean/stddev must be finite")
         nodes.append(parts[1])
         means.append(mean)
         stds.append(std)
@@ -139,6 +143,8 @@ def parse_observation(text: str) -> np.ndarray:
             k, val = int(parts[1]), float(parts[2])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: bad observation fields") from None
+        if not math.isfinite(val):
+            raise GraphFormatError(f"line {lineno}: observation value must be finite")
         if k in slots:
             raise GraphFormatError(f"line {lineno}: duplicate observation index {k}")
         slots[k] = val

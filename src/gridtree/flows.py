@@ -15,7 +15,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import InvalidPlacementError, ModelError
-from .graph import Graph, SpanningTree, build_incidence
+from .graph import Graph, SpanningTree
 from .placement import Placement
 
 
@@ -32,6 +32,8 @@ class LoadModel:
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if self.means.shape != (len(self.nodes),) or self.variances.shape != (len(self.nodes),):
             raise ModelError("means/variances must have one entry per node")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
+            raise ModelError("means/variances must be finite")
         if np.any(self.variances < 0):
             raise ModelError("negative variance")
 
@@ -145,11 +147,8 @@ def observation_matrix_from_incidence(
     the inverse at the measured edges; kept as an independent route for
     cross-checking the traversal construction.
     """
-    B = build_incidence(graph).astype(float)
-    r = graph.root_index
-    Br = np.delete(B, r, axis=0)
     tree_cols = sorted(tree.edge_ids)
-    Bw = Br[:, tree_cols]
+    Bw = graph.reduced_incidence[:, tree_cols]
     inv = np.linalg.inv(Bw)
     col_of = {e: i for i, e in enumerate(tree_cols)}
     non_root = [v for v in graph.vertices if v != graph.root]
@@ -215,8 +214,7 @@ def relaxed_flow_solution(
     free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
     if len(free) != graph.n_vertices - 1:
         raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
-    B = build_incidence(graph).astype(float)
-    Br = np.delete(B, graph.root_index, axis=0)
+    Br = graph.reduced_incidence
     y = consumption_vector(graph, loads)
     yr = np.delete(y, graph.root_index)
     rhs = yr - Br[:, measured] @ s
@@ -232,9 +230,9 @@ def relaxed_flow_solution(
 
 def flow_residual(graph: Graph, flows: Sequence[float], loads: Sequence[float]) -> float:
     """Max abs violation of conservation ``B f = y`` over all vertices."""
-    B = build_incidence(graph).astype(float)
     y = consumption_vector(graph, loads)
-    return float(np.max(np.abs(B @ np.asarray(flows, dtype=float) - y)))
+    r = graph.reduced_incidence @ np.asarray(flows, dtype=float) - np.delete(y, graph.root_index)
+    return float(max(np.max(np.abs(r), initial=0.0), abs(r.sum())))  # root row: -sum of the rest
 
 
 # -- hypothesis flow distribution ---------------------------------------------

@@ -110,6 +110,9 @@ class Graph:
         for eid, (u, v) in enumerate(self.edges):
             self._edges_at[u].append(eid)
             self._edges_at[v].append(eid)
+        # read-only float incidence without the root row, (|V|-1) x |E|
+        self.reduced_incidence = np.delete(build_incidence(self).astype(float), self.root_index, 0)
+        self.reduced_incidence.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
 

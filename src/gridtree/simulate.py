@@ -1,6 +1,12 @@
 """Monte Carlo experiment harness: deterministic error rates, missed-detection
 sweeps over noise levels, and placement ranking by mean/max error.
 
+Unit of work: one (placement, sigma) group.  A group builds one
+HypothesisCache, shares it across all its true-tree cells and detectors, and
+drops it when the group ends.  With several workers, the pool is handed
+groups; only when there are fewer groups than workers is each group split
+into contiguous runs of true trees, one cache per run.
+
 Reproducibility contract: every random draw comes from a generator seeded by
 (base seed, placement index, sigma index, tree index), so results are
 byte-identical across runs and worker counts.
@@ -10,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,8 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ModelError("trials must be >= 1")
-        if any(s < 0 for s in self.sigmas):
-            raise ModelError("sigma values must be >= 0")
+        if not all(0 <= s < float("inf") for s in self.sigmas):
+            raise ModelError("sigma values must be finite and >= 0")
         if self.sigma_mode not in ("absolute", "cv", "model"):
             raise ModelError(f"unknown sigma mode {self.sigma_mode!r}")
         for d in self.detectors:
@@ -239,7 +247,9 @@ def _detect_once(
     if name == "zeroflow":
         return detect_zero_flow_map(graph, placement, model, observation, restriction).tree
     if name == "fmst":
-        return detect_fmst(graph, placement, model, observation, required_edges=restriction).tree
+        return detect_fmst(
+            graph, placement, model, observation, required_edges=restriction, cache=cache
+        ).tree
     if name == "cycledescent":
         return detect_cycle_descent(
             graph, placement, model, observation, cache=cache, required_edges=restriction
@@ -256,60 +266,67 @@ def _detect_once(
     raise ModelError(f"unknown detector {name!r}")
 
 
-def _run_cell(args):
-    """One (placement, sigma, true tree) cell; returns rows for every detector."""
-    config, p_idx, s_idx, t_idx, trees = args
-    graph = config.graph
-    placement = config.placements[p_idx]
-    sigma = config.sigmas[s_idx]
-    true_tree = trees[t_idx]
-    model = config.noise_model(sigma)
-    rng = np.random.default_rng((config.seed, p_idx, s_idx, t_idx))
-    sd = model.stddevs
-    X = model.means + sd * rng.standard_normal((config.trials, len(sd)))
-    # exact readings under the true tree for each trial
-    gamma = observation_matrix(graph, true_tree, placement)
-    flows_mat = X @ gamma.T
-
-    cache = HypothesisCache(graph, placement, model)
-    rows = []
-    for name in config.detectors:
-        misses = 0
-        if name == "map" and not config.local_search:
-            # batched evaluation: one log-density column per hypothesis
-            ll = np.empty((config.trials, len(trees)))
-            for j, hyp in enumerate(trees):
-                ll[:, j] = cache.gaussian(hyp).logpdf_batch(flows_mat)
-            picks = np.argmax(ll, axis=1)
-            feasible = np.max(ll, axis=1) > float("-inf")
-            misses = int(np.sum((picks != t_idx) | ~feasible))
-        else:
-            for i in range(config.trials):
-                try:
-                    tree = _detect_once(
-                        name, graph, placement, model, flows_mat[i],
-                        config.restriction, cache, trees,
-                    )
-                    if config.local_search:
-                        tree = local_map_search(
-                            graph, placement, model, flows_mat[i], tree,
-                            cache=cache, required_edges=config.restriction,
-                        ).tree
-                except GridTreeError:
-                    tree = None
-                if tree is None or tree.edge_ids != true_tree.edge_ids:
-                    misses += 1
-        rows.append(
-            SweepRow(
-                placement=placement.label(),
-                detector=name + ("+local" if config.local_search else ""),
-                sigma=sigma,
-                true_tree=true_tree.label(),
-                trials=config.trials,
-                misses=misses,
+def _cell_misses(name, config, cache, trees, flows_mat, t_idx) -> int:
+    """Misses of one detector on one cell's readings (one row per trial)."""
+    if name == "map" and not config.local_search:
+        # batched evaluation: one log-density column per hypothesis
+        ll = np.empty((len(flows_mat), len(trees)))
+        for j, hyp in enumerate(trees):
+            ll[:, j] = cache.gaussian(hyp).logpdf_batch(flows_mat)
+        picks = np.argmax(ll, axis=1)
+        feasible = np.max(ll, axis=1) > float("-inf")
+        return int(np.sum((picks != t_idx) | ~feasible))
+    graph, placement, model = cache.graph, cache.placement, cache.model
+    misses = 0
+    for obs in flows_mat:
+        try:
+            tree = _detect_once(
+                name, graph, placement, model, obs, config.restriction, cache, trees
             )
-        )
-    return (p_idx, s_idx, t_idx), rows
+            if config.local_search:
+                tree = local_map_search(
+                    graph, placement, model, obs, tree,
+                    cache=cache, required_edges=config.restriction,
+                ).tree
+        except GridTreeError:
+            tree = None
+        if tree is None or tree.edge_ids != trees[t_idx].edge_ids:
+            misses += 1
+    return misses
+
+
+def _run_group(config, trees, task) -> list[SweepRow]:
+    """Rows of one (placement, sigma) group, or of a contiguous run of its true
+    trees: true trees in enumeration order, detectors in config order.
+
+    The HypothesisCache is built here and dropped on return, so each
+    hypothesis Gaussian is built at most once per task.  Cells are scored one
+    at a time, so at most one cell's trials x hypotheses block is held.
+    """
+    p_idx, s_idx, t_indices = task
+    placement, sigma = config.placements[p_idx], config.sigmas[s_idx]
+    model = config.noise_model(sigma)
+    cache = HypothesisCache(config.graph, placement, model)
+    sd = model.stddevs
+    rows = []
+    for t_idx in t_indices:
+        true_tree = trees[t_idx]
+        rng = np.random.default_rng((config.seed, p_idx, s_idx, t_idx))
+        X = model.means + sd * rng.standard_normal((config.trials, len(sd)))
+        # exact readings under the true tree for each trial
+        flows_mat = X @ observation_matrix(config.graph, true_tree, placement).T
+        for name in config.detectors:
+            rows.append(
+                SweepRow(
+                    placement=placement.label(),
+                    detector=name + ("+local" if config.local_search else ""),
+                    sigma=sigma,
+                    true_tree=true_tree.label(),
+                    trials=config.trials,
+                    misses=_cell_misses(name, config, cache, trees, flows_mat, t_idx),
+                )
+            )
+    return rows
 
 
 def run_stochastic_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorReport:
@@ -317,24 +334,26 @@ def run_stochastic_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorRep
 
     Loads are redrawn per trial around the forecast means; sensors observe the
     exact flows of the true tree.  A detector exception counts as a miss and
-    the run continues.  Output row order and contents are independent of the
-    worker count.
+    the run continues.  Work is done per (placement, sigma) group, each with
+    one hypothesis cache shared by its cells and detectors; ``workers > 1``
+    spreads the groups over processes (see the module docstring).  Output row
+    order and contents are independent of the worker count.
     """
     trees = list(enumerate_spanning_trees(config.graph, config.restriction))
-    cells = [
-        (config, p, s, t, trees)
-        for p in range(len(config.placements))
-        for s in range(len(config.sigmas))
-        for t in range(len(trees))
-    ]
+    groups = [(p, s) for p in range(len(config.placements)) for s in range(len(config.sigmas))]
+    # Fewer groups than workers: split each group's true trees into contiguous
+    # runs, each with its own cache, so that every worker gets work.
+    parts = max(1, min(len(trees), math.ceil(workers / max(len(groups), 1))))
+    bounds = [len(trees) * k // parts for k in range(parts + 1)]
+    tasks = [(p, s, range(a, b)) for p, s in groups for a, b in zip(bounds, bounds[1:])]
+    run_group = partial(_run_group, config, trees)
     if workers <= 1:
-        results = [_run_cell(c) for c in cells]
+        results = [run_group(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=8))
-    results.sort(key=lambda kv: kv[0])
+            results = list(pool.map(run_group, tasks))
     report = ErrorReport()
-    for _, rows in results:
+    for rows in results:
         report.rows.extend(rows)
     return report
 

@@ -151,6 +151,51 @@ class TestDetect:
         assert rc == 2
 
 
+    def _exact_files(self, island, tmp_path):
+        pl = Placement((6, 7, 10, 12))
+        tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
+        s = hypothesis_flow(island.graph, tree, pl, island.load_model.means)
+        ppath, opath = tmp_path / "p.place", tmp_path / "o.obs"
+        ppath.write_text(format_placement(pl))
+        opath.write_text(format_observation(s))
+        return tree, ppath, opath
+
+    def test_enum_writes_hits_to_out(self, island, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        tree, ppath, opath = self._exact_files(island, tmp_path)
+        out = tmp_path / "hits.txt"
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath),
+            "--method", "enum", "--require-tau", "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_text() == tree.label() + "\n"
+        assert capsys.readouterr().out == tree.label() + "\n"
+
+    def test_enum_with_local_search_is_usage_error(self, island, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        _, ppath, opath = self._exact_files(island, tmp_path)
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath),
+            "--method", "enum", "--local-search",
+        ])
+        assert rc == 1
+        assert "--local-search" in capsys.readouterr().err
+
+    def test_non_finite_observation_file_exits_1(self, island, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        _, ppath, opath = self._exact_files(island, tmp_path)
+        opath.write_text("obs 0 1.0\nobs 1 nan\nobs 2 0.5\nobs 3 0.25\n")
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath), "--method", "map",
+        ])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestSweepAndRanking:
     def test_sweep_reproducible_across_workers(self, island, island_files, tmp_path):
         gpath, lpath = island_files
@@ -179,6 +224,20 @@ class TestSweepAndRanking:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+
+    def test_sweep_unknown_method_exits_1(self, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        ppath = tmp_path / "p.place"
+        ppath.write_text(format_placement(Placement((6, 7, 10, 12))))
+        out = tmp_path / "x.csv"
+        rc = main([
+            "sweep", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--sigma", "0.1", "--trials", "2",
+            "--method", "map,bogus", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rank_placements_smoke(self, island_files, tmp_path):
         gpath, lpath = island_files

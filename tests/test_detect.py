@@ -7,6 +7,7 @@ from gridtree import (
     InconsistentObservationError,
     InvalidPlacementError,
     LoadModel,
+    ModelError,
     NoFeasibleHypothesisError,
     Placement,
     SpanningTree,
@@ -92,6 +93,17 @@ class TestReducedGaussian:
             assert batch[i] == pytest.approx(rg.logpdf(v)) or (
                 batch[i] == rg.logpdf(v) == float("-inf")
             )
+
+
+    def test_batch_tolerance_is_per_row(self):
+        # a large reading in one row must not loosen the check of another
+        rg = ReducedGaussian(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [0.0, 1.0]]))
+        row = [5e-9, 1.0]
+        assert rg.logpdf(row) == float("-inf")
+        assert rg.logpdf_batch(np.array([row]))[0] == float("-inf")
+        batch = rg.logpdf_batch(np.array([row, [0.0, 1e4]]))
+        assert batch[0] == float("-inf")
+        assert batch[1] == rg.logpdf([0.0, 1e4])
 
 
 class TestLogLikelihood:
@@ -338,6 +350,57 @@ class TestFmst:
         b = detect_map(island.graph, pl, model, s, restriction=island.tau)
         assert b.tree.edge_ids == true.edge_ids
         assert a.tree.edge_ids != b.tree.edge_ids
+
+
+    def test_cache_gives_same_result(self, island, tau_trees):
+        pl = Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.3)
+        cache = HypothesisCache(island.graph, pl, model)
+        rng = np.random.default_rng(12)
+        for tree in tau_trees[::7]:
+            x = model.means + 0.3 * rng.standard_normal(5)
+            s = hypothesis_flow(island.graph, tree, pl, x)
+            cold = detect_fmst(island.graph, pl, model, s, required_edges=island.tau)
+            warm = detect_fmst(island.graph, pl, model, s, required_edges=island.tau, cache=cache)
+            assert warm == cold
+
+
+class TestNonFiniteObservation:
+    PL = Placement((6, 7, 10, 12))
+
+    def _obs(self, island, tau_trees, bad):
+        s = hypothesis_flow(island.graph, tau_trees[0], self.PL, island.load_model.means)
+        s[1] = bad
+        return s
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_model_detectors_reject(self, island, tau_trees, bad):
+        model = island.load_model.with_stddev(0.2)
+        s = self._obs(island, tau_trees, bad)
+        g, pl, tau = island.graph, self.PL, island.tau
+        calls = [
+            lambda: detect_map(g, pl, model, s, restriction=tau),
+            lambda: detect_zero_flow_map(g, pl, model, s, restriction=tau),
+            lambda: detect_fmst(g, pl, model, s, required_edges=tau),
+            lambda: detect_cycle_descent(g, pl, model, s, required_edges=tau),
+            lambda: local_map_search(g, pl, model, s, tau_trees[0], required_edges=tau),
+        ]
+        for call in calls:
+            with pytest.raises(ModelError, match="finite"):
+                call()
+
+    def test_load_detectors_reject(self, island, tau_trees):
+        means = island.load_model.means
+        s = self._obs(island, tau_trees, float("nan"))
+        with pytest.raises(ModelError):
+            detect_deterministic(island.graph, self.PL, means, s, island.tau)
+        with pytest.raises(ModelError):
+            detect_enumeration_oracle(island.graph, self.PL, means, s, island.tau)
+        good = self._obs(island, tau_trees, 0.0)
+        bad_loads = means.copy()
+        bad_loads[0] = float("inf")
+        with pytest.raises(ModelError):
+            detect_deterministic(island.graph, self.PL, bad_loads, good, island.tau)
 
 
 class TestFeasibleTree:

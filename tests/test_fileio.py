@@ -97,6 +97,11 @@ class TestLoadFormat:
         with pytest.raises(GraphFormatError):
             parse_loads("\n")
 
+    @pytest.mark.parametrize("line", ["load v1 nan 0", "load v1 1 inf"])
+    def test_non_finite_rejected(self, line):
+        with pytest.raises(GraphFormatError, match="line 2"):
+            parse_loads("load v0 1 0\n" + line + "\n")
+
 
 class TestObservationFormat:
     def test_round_trip(self):
@@ -110,6 +115,11 @@ class TestObservationFormat:
     def test_sparse_indices_rejected(self):
         with pytest.raises(GraphFormatError, match="dense"):
             parse_observation("obs 2 1.0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(GraphFormatError, match="line 2"):
+            parse_observation(f"obs 0 1.0\nobs 1 {value}\n")
 
 
 def test_fixture_files_are_loadable(tmp_path):

@@ -32,6 +32,13 @@ class TestLoadModel:
         with pytest.raises(ModelError):
             LoadModel(("a",), np.array([1.0]), np.array([-0.1]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            LoadModel(("a", "b"), np.array([1.0, bad]), np.array([0.1, 0.1]))
+        with pytest.raises(ModelError, match="finite"):
+            LoadModel(("a", "b"), np.array([1.0, 1.0]), np.array([0.1, bad]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelError):
             LoadModel(("a", "b"), np.array([1.0]), np.array([0.1]))
@@ -155,6 +162,16 @@ class TestRelaxedFlow:
     def test_zero_loads_zero_observation_zero_flow(self, example_graph):
         f = relaxed_flow_solution(example_graph, Placement((4, 5)), np.zeros(4), [0.0, 0.0])
         assert np.allclose(f, 0.0)
+
+    def test_residual_counts_every_vertex(self, example_graph):
+        f = relaxed_flow_solution(example_graph, Placement((4, 5)), UNIT_LOADS, [0.5, 0.5])
+        B = build_incidence(example_graph)
+        y = consumption_vector(example_graph, UNIT_LOADS)
+        # the first perturbation makes the root's row the largest violation
+        for g in ([0.25, 0.2, 0, 0, 0, 0], [0, 0.5, 0, 0.25, 0, 0], [0, 0, 0.1, 0, 0, 0.3]):
+            bad = f + np.array(g)
+            expected = float(np.max(np.abs(B @ bad - y)))
+            assert flow_residual(example_graph, bad, UNIT_LOADS) == pytest.approx(expected)
 
     def test_invalid_placement_raises(self, example_graph):
         with pytest.raises(InvalidPlacementError):

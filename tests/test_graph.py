@@ -75,6 +75,12 @@ class TestIncidence:
     def test_columns_sum_to_zero(self, island):
         assert np.array_equal(build_incidence(island.graph).sum(axis=0), np.zeros(13))
 
+    def test_reduced_incidence_is_cached_read_only_root_deleted(self, example_graph):
+        Br = example_graph.reduced_incidence
+        assert Br is example_graph.reduced_incidence
+        assert np.array_equal(Br, np.delete(EXAMPLE_INCIDENCE, 0, axis=0))
+        assert Br.dtype == float and not Br.flags.writeable
+
 
 class TestCircuitRank:
     def test_island_fixture(self, island):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gridtree.detect
 from gridtree import (
     ExperimentConfig,
     Graph,
@@ -83,20 +84,48 @@ class TestStochasticSweep:
             assert r.stderr == pytest.approx(np.sqrt(p * (1 - p) / r.trials))
 
     def test_reproducible_and_worker_independent(self, island, tau_family):
+        # 2 placements x 2 sigmas = four groups without local search; with it,
+        # one group, which two workers split between them
+        for local_search, n in ((False, 2), (True, 1)):
+            config = ExperimentConfig(
+                graph=island.graph,
+                load_model=island.load_model,
+                placements=tau_family.placements[:n],
+                sigmas=(0.3, 0.1)[:n],
+                trials=10,
+                detectors=("map", "fmst"),
+                seed=5,
+                restriction=island.tau,
+                local_search=local_search,
+            )
+            a = run_stochastic_sweep(config, workers=1).to_csv()
+            b = run_stochastic_sweep(config, workers=1).to_csv()
+            c = run_stochastic_sweep(config, workers=2).to_csv()
+            assert a == b == c
+            assert len(a.splitlines()) == 1 + n * n * 44 * 2
+
+    def test_one_gaussian_build_per_hypothesis_per_group(self, island, tau_family, monkeypatch):
+        builds = []
+        init = gridtree.detect.ReducedGaussian.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(gridtree.detect.ReducedGaussian, "__init__", counting_init)
         config = ExperimentConfig(
             graph=island.graph,
             load_model=island.load_model,
-            placements=(tau_family.placements[0],),
-            sigmas=(0.3,),
-            trials=10,
-            detectors=("map", "fmst"),
-            seed=5,
+            placements=tau_family.placements[:2],
+            sigmas=(0.1, 0.4),
+            trials=2,
+            detectors=("map", "fmst", "cycledescent"),
+            seed=4,
             restriction=island.tau,
         )
-        a = run_stochastic_sweep(config, workers=1).to_csv()
-        b = run_stochastic_sweep(config, workers=1).to_csv()
-        c = run_stochastic_sweep(config, workers=2).to_csv()
-        assert a == b == c
+        report = run_stochastic_sweep(config)
+        assert len(report.rows) == 2 * 2 * 44 * 3
+        assert 0 < len(builds) <= 2 * 2 * 44
 
     def test_doubling_trials_shrinks_stderr(self, island, tau_family):
         def stderr_at(trials):
