@@ -64,15 +64,6 @@ class DetectionResult:
         ]
 
 
-def _row_max_abs(A: np.ndarray) -> np.ndarray:
-    """max |A[i, :]| for each row; a loop over the few columns, which numpy runs
-    much faster than a reduction along axis 1."""
-    out = np.abs(A[:, 0])
-    for j in range(1, A.shape[1]):
-        np.maximum(out, np.abs(A[:, j]), out=out)
-    return out
-
-
 class ReducedGaussian:
     """Gaussian with possibly singular covariance, evaluated on independent coords.
 
@@ -142,8 +133,8 @@ class ReducedGaussian:
         ok = np.ones(len(V), dtype=bool)
         if self.dep.size:
             implied = self.dep_offset + V[:, self.keep] @ self.dep_coef.T
-            tol = 1e-9 * np.maximum(self.tol_scale, _row_max_abs(V))  # one per row
-            ok = _row_max_abs(V[:, self.dep] - implied) <= tol
+            tol = 1e-9 * np.maximum(self.tol_scale, np.max(np.abs(V), axis=1))  # one per row
+            ok = np.max(np.abs(V[:, self.dep] - implied), axis=1) <= tol
         if self.rank:
             d = V[:, self.keep] - self.mean_keep
             quad = np.einsum("ij,jk,ik->i", d, self.inv, d)
@@ -436,18 +427,16 @@ def detect_fmst(
     """Two-step approximation: relaxed flow from forecasts, then the spanning
     tree carrying the largest total |flow| (greedy, ties by edge id).
 
-    The chosen tree is scored by its Gaussian log-likelihood: through
-    ``cache`` when given (the same Gaussian, so the same value), otherwise
-    by a fresh build.
+    The chosen tree is scored by its Gaussian log-likelihood.  ``cache`` is
+    optional; pass one to reuse hypothesis Gaussians across calls.
     """
     model.check_graph(graph)
     observation = _finite(observation, "observation")
+    if cache is None:
+        cache = HypothesisCache(graph, placement, model)
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     tree = max_weight_spanning_tree(graph, np.abs(f_o), required_edges)
-    if cache is None:
-        ll = log_likelihood(graph, tree, placement, model, observation)
-    else:
-        ll = cache.loglik(tree, observation)
+    ll = cache.loglik(tree, observation)
     return DetectionResult(tree=tree, log_likelihood=ll, method="fmst")
 
 

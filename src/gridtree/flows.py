@@ -231,8 +231,7 @@ def relaxed_flow_solution(
 def flow_residual(graph: Graph, flows: Sequence[float], loads: Sequence[float]) -> float:
     """Max abs violation of conservation ``B f = y`` over all vertices."""
     y = consumption_vector(graph, loads)
-    r = graph.reduced_incidence @ np.asarray(flows, dtype=float) - np.delete(y, graph.root_index)
-    return float(max(np.max(np.abs(r), initial=0.0), abs(r.sum())))  # root row: -sum of the rest
+    return float(np.max(np.abs(graph.incidence @ np.asarray(flows, dtype=float) - y)))
 
 
 # -- hypothesis flow distribution ---------------------------------------------

@@ -8,6 +8,7 @@ flow quantities elsewhere in the package are expressed in this frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,9 +111,6 @@ class Graph:
         for eid, (u, v) in enumerate(self.edges):
             self._edges_at[u].append(eid)
             self._edges_at[v].append(eid)
-        # read-only float incidence without the root row, (|V|-1) x |E|
-        self.reduced_incidence = np.delete(build_incidence(self).astype(float), self.root_index, 0)
-        self.reduced_incidence.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
 
@@ -126,6 +124,20 @@ class Graph:
 
     def vertex_index(self, v: Hashable) -> int:
         return self._vidx[v]
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only float ``build_incidence``, built on first use."""
+        B = build_incidence(self).astype(float)
+        B.setflags(write=False)
+        return B
+
+    @cached_property
+    def reduced_incidence(self) -> np.ndarray:
+        """Read-only ``incidence`` without the root's row, (|V|-1) x |E|."""
+        Br = np.delete(self.incidence, self.root_index, axis=0)
+        Br.setflags(write=False)
+        return Br
 
     @property
     def root_index(self) -> int:

@@ -76,6 +76,10 @@ class TestIncidence:
         assert np.array_equal(build_incidence(island.graph).sum(axis=0), np.zeros(13))
 
     def test_reduced_incidence_is_cached_read_only_root_deleted(self, example_graph):
+        B = example_graph.incidence
+        assert B is example_graph.incidence
+        assert np.array_equal(B, EXAMPLE_INCIDENCE)
+        assert B.dtype == float and not B.flags.writeable
         Br = example_graph.reduced_incidence
         assert Br is example_graph.reduced_incidence
         assert np.array_equal(Br, np.delete(EXAMPLE_INCIDENCE, 0, axis=0))
