@@ -64,6 +64,18 @@ class DetectionResult:
         ]
 
 
+def _row_max_abs(A: np.ndarray) -> np.ndarray:
+    """max |A[i, :]| for each row, by a loop over the columns.
+
+    ``logpdf_batch`` arrays have many rows and a few columns; for them this
+    loop is much faster than ``np.max(np.abs(A), axis=1)``.
+    """
+    out = np.abs(A[:, 0])
+    for j in range(1, A.shape[1]):
+        np.maximum(out, np.abs(A[:, j]), out=out)
+    return out
+
+
 class ReducedGaussian:
     """Gaussian with possibly singular covariance, evaluated on independent coords.
 
@@ -133,8 +145,8 @@ class ReducedGaussian:
         ok = np.ones(len(V), dtype=bool)
         if self.dep.size:
             implied = self.dep_offset + V[:, self.keep] @ self.dep_coef.T
-            tol = 1e-9 * np.maximum(self.tol_scale, np.max(np.abs(V), axis=1))  # one per row
-            ok = np.max(np.abs(V[:, self.dep] - implied), axis=1) <= tol
+            tol = 1e-9 * np.maximum(self.tol_scale, _row_max_abs(V))  # one per row
+            ok = _row_max_abs(V[:, self.dep] - implied) <= tol
         if self.rank:
             d = V[:, self.keep] - self.mean_keep
             quad = np.einsum("ij,jk,ik->i", d, self.inv, d)
