@@ -12,19 +12,17 @@ import sys
 
 from . import fileio
 from .detect import (
-    detect_cycle_descent,
-    detect_deterministic,
+    DETECTOR_NAMES,
+    DETECTORS,
+    HypothesisCache,
     detect_enumeration_oracle,
-    detect_fmst,
-    detect_map,
-    detect_zero_flow_map,
     local_map_search,
 )
 from .errors import GraphFormatError, GridTreeError
 from .fixture import build_island_fixture
 from .graph import enumerate_spanning_trees
 from .placement import enumerate_valid_placements, is_valid_placement
-from .simulate import DETECTOR_NAMES, ExperimentConfig, evaluate_placements, run_stochastic_sweep
+from .simulate import ExperimentConfig, evaluate_placements, run_stochastic_sweep
 
 
 class _UsageError(Exception):
@@ -47,8 +45,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        return p
+        return sub.add_parser(name, help=help_text, description=help_text)
 
     p = add("fixture", "Write the built-in island benchmark graph (and optionally its loads).")
     p.add_argument("--out", required=True, help="graph file to write")
@@ -131,10 +128,7 @@ def _emit(lines, out_path):
 def _load_graph_and_model(args):
     graph = fileio.read_graph(args.graph)
     model = fileio.read_loads(args.loads)
-    graph = graph.with_load_vertices(model.nodes)
-    if getattr(args, "sigma", None) is not None:
-        model = model.with_stddev(args.sigma)
-    return graph, model
+    return graph.with_load_vertices(model.nodes), model
 
 
 def _restriction(graph, args):
@@ -178,34 +172,28 @@ def _cmd_detect(args) -> int:
     if method == "enum" and args.local_search:
         raise _UsageError("--local-search needs a detector that returns one tree, not enum")
     graph, model = _load_graph_and_model(args)
+    if args.sigma is not None:
+        model = model.with_stddev(args.sigma)
     placement = fileio.read_placement(args.placement)
     obs = fileio.read_observation(args.obs)
     restriction = _restriction(graph, args)
-    if method == "map":
-        result = detect_map(graph, placement, model, obs, restriction)
-    elif method == "zeroflow":
-        result = detect_zero_flow_map(graph, placement, model, obs, restriction)
-    elif method == "fmst":
-        result = detect_fmst(graph, placement, model, obs, required_edges=restriction)
-    elif method == "cycledescent":
-        result = detect_cycle_descent(graph, placement, model, obs, required_edges=restriction)
-    elif method == "deterministic":
-        result = detect_deterministic(graph, placement, model.means, obs, restriction)
-    else:  # enum
+    if method == "enum":  # prints every hit, not one tree
         hits = detect_enumeration_oracle(graph, placement, model.means, obs, restriction)
         labels = [t.label() for t in hits]
         _emit(labels, None)
         if args.out:
             _emit(labels, args.out)
         return 0
+    cache = HypothesisCache(graph, placement, model)
+    result = DETECTORS[method](graph, placement, model, obs, restriction, cache)
     if args.local_search:
-        result = local_map_search(graph, placement, model, obs, result.tree, required_edges=restriction)
+        result = local_map_search(
+            graph, placement, model, obs, result.tree, cache=cache, required_edges=restriction
+        )
     print(result.tree.label())
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("method,tree,log_likelihood,iterations,converged\n")
-            row = result.csv_row()
-            fh.write(",".join(str(c) for c in row) + "\n")
+        row = ",".join(str(c) for c in result.csv_row())
+        _emit(["method,tree,log_likelihood,iterations,converged", row], args.out)
     return 0
 
 
@@ -224,9 +212,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(
             f"unknown --method {', '.join(unknown)}; choose from {', '.join(DETECTOR_NAMES)}"
         )
-    graph = fileio.read_graph(args.graph)
-    model = fileio.read_loads(args.loads)
-    graph = graph.with_load_vertices(model.nodes)
+    graph, model = _load_graph_and_model(args)
     placement = fileio.read_placement(args.placement)
     config = ExperimentConfig(
         graph=graph,
@@ -246,9 +232,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rank_placements(args) -> int:
-    graph = fileio.read_graph(args.graph)
-    model = fileio.read_loads(args.loads)
-    graph = graph.with_load_vertices(model.nodes)
+    graph, model = _load_graph_and_model(args)
     if (args.sigma is None) == (args.cv is None):
         raise GridTreeError("exactly one of --sigma / --cv is required")
     sigma = args.sigma if args.sigma is not None else args.cv

@@ -4,6 +4,8 @@ Cycles live in GF(2)^|E|: a cycle is an edge set in which every touched vertex
 has degree exactly two and the edges form a single closed walk.  Symmetric
 difference is the vector addition of this space; it is closed over the cycle
 space but not over single cycles, so XOR results carry a validity flag.
+A fundamental cycle is found on the tree rooted by ``graph.root_tree`` by
+stepping the deeper end of its co-tree edge up until both ends meet.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, NotASpanningTreeError
-from .graph import Graph, SpanningTree, UnionFind, is_spanning_tree
+from .graph import Graph, SpanningTree, UnionFind, is_spanning_tree, root_tree
 
 
 @dataclass(frozen=True)
@@ -87,51 +89,22 @@ class FundamentalCycleBasis:
         return len(self.cycles)
 
 
-def _tree_paths(graph: Graph, tree: SpanningTree):
-    """Parent pointers of the tree rooted at the graph root."""
-    adj: dict = {v: [] for v in graph.vertices}
-    for eid in tree.edge_ids:
-        u, v = graph.edges[eid]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    parent: dict = {graph.root: (None, None)}
-    depth = {graph.root: 0}
-    stack = [graph.root]
-    while stack:
-        x = stack.pop()
-        for y, eid in adj[x]:
-            if y not in parent:
-                parent[y] = (x, eid)
-                depth[y] = depth[x] + 1
-                stack.append(y)
-    return parent, depth
-
-
 def fundamental_cycle_basis(graph: Graph, tree: SpanningTree) -> FundamentalCycleBasis:
     """Basis of circuit_rank(G) cycles, one per co-tree edge in ascending id order."""
     if not is_spanning_tree(graph, tree.edge_ids):
         raise NotASpanningTreeError("fundamental cycles need a spanning tree")
-    parent, depth = _tree_paths(graph, tree)
-    generators = tuple(e for e in range(graph.n_edges) if e not in tree.edge_ids)
+    parent, depth, _ = root_tree(graph, tree)
+    generators = tree.cotree(graph)
     cycles = []
     for g in generators:
         u, v = graph.edges[g]
         path = set()
         a, b = u, v
-        while depth[a] > depth[b]:
-            a_parent, eid = parent[a]
+        while a != b:  # step the deeper end up until both meet at their common ancestor
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, eid = parent[a]
             path.add(eid)
-            a = a_parent
-        while depth[b] > depth[a]:
-            b_parent, eid = parent[b]
-            path.add(eid)
-            b = b_parent
-        while a != b:
-            a_parent, ea = parent[a]
-            b_parent, eb = parent[b]
-            path.add(ea)
-            path.add(eb)
-            a, b = a_parent, b_parent
         cycles.append(Cycle(frozenset(path) | {g}))
     return FundamentalCycleBasis(tuple(cycles), generators)
 

@@ -5,7 +5,12 @@ All detectors share one Gaussian machinery that tolerates rank-deficient
 hypothesis covariances: the density is evaluated on a maximal full-rank
 coordinate subset and the remaining coordinates must match their implied
 values exactly (within a relative tolerance), otherwise the hypothesis is
-assigned -inf.
+assigned -inf.  A HypothesisCache memoizes, per (graph, placement, model),
+the hypothesis set, each tree's Gaussians and its cycle basis; every
+likelihood detector takes one as an optional ``cache``.
+
+``DETECTORS`` is the one registry of detectors by name, used by the CLI and
+the Monte Carlo sweep alike.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    GridTreeError,
     InconsistentObservationError,
     InvalidPlacementError,
     ModelError,
@@ -107,24 +113,14 @@ class ReducedGaussian:
         self.keep = np.array(keep, dtype=int)
         self.dep = np.array(dep, dtype=int)
         self.rank = len(keep)
-        if keep:
-            sub = cov[np.ix_(keep, keep)]
-            chol = np.linalg.cholesky(sub)
-            self.logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            self.inv = np.linalg.inv(sub)
-            self.mean_keep = mean[self.keep]
-            if dep:
-                self.dep_coef = cov[np.ix_(dep, keep)] @ self.inv
-                self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
-            else:
-                self.dep_coef = np.zeros((0, len(keep)))
-                self.dep_offset = np.zeros(0)
-        else:
-            self.logdet = 0.0
-            self.inv = np.zeros((0, 0))
-            self.mean_keep = np.zeros(0)
-            self.dep_coef = np.zeros((m, 0))
-            self.dep_offset = mean.copy()
+        # with nothing kept or nothing dependent, these are empty arrays of the right shapes
+        sub = cov[np.ix_(keep, keep)]
+        chol = np.linalg.cholesky(sub)
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        self.inv = np.linalg.inv(sub)
+        self.mean_keep = mean[self.keep]
+        self.dep_coef = cov[np.ix_(dep, keep)] @ self.inv
+        self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
 
     def logpdf(self, values: Sequence[float]) -> float:
         v = np.asarray(values, dtype=float)
@@ -151,39 +147,54 @@ class ReducedGaussian:
             d = V[:, self.keep] - self.mean_keep
             quad = np.einsum("ij,jk,ik->i", d, self.inv, d)
             out = -0.5 * (self.rank * _LOG_2PI + self.logdet + quad)
-        out = np.where(ok, out, _NEG_INF)
-        return out
+        return np.where(ok, out, _NEG_INF)
 
 
 class HypothesisCache:
-    """Per-(graph, placement, model) memo of hypothesis distributions and bases."""
+    """Per-(graph, placement, model) memo of hypothesis sets, distributions and bases."""
 
     def __init__(self, graph: Graph, placement: Placement, model: LoadModel):
         self.graph = graph
         self.placement = placement
         self.model = model
+        self._hypotheses: dict[frozenset, list[SpanningTree]] = {}
         self._gaussians: dict[frozenset, ReducedGaussian] = {}
+        self._zero_flow: dict[frozenset, tuple[list[int], ReducedGaussian]] = {}
+        self._J: np.ndarray | None = None
         self._bases: dict[frozenset, object] = {}
+
+    def hypotheses(self, restriction: Iterable[int] = ()) -> list[SpanningTree]:
+        """Every spanning tree containing ``restriction``, in enumeration order."""
+        key = frozenset(restriction)
+        if key not in self._hypotheses:
+            self._hypotheses[key] = list(enumerate_spanning_trees(self.graph, key))
+        return self._hypotheses[key]
 
     def gaussian(self, tree: SpanningTree) -> ReducedGaussian:
         key = tree.edge_ids
-        rg = self._gaussians.get(key)
-        if rg is None:
+        if key not in self._gaussians:
             dist = hypothesis_flow_distribution(self.graph, tree, self.placement, self.model)
-            rg = ReducedGaussian(dist.mean, dist.covariance)
-            self._gaussians[key] = rg
-        return rg
+            self._gaussians[key] = ReducedGaussian(dist.mean, dist.covariance)
+        return self._gaussians[key]
 
     def loglik(self, tree: SpanningTree, observation: Sequence[float]) -> float:
         return self.gaussian(tree).logpdf(observation)
 
+    def zero_flow(self, tree: SpanningTree) -> tuple[list[int], ReducedGaussian]:
+        """Co-tree edge ids and Gaussian of ``tree``'s zero-flow statistic."""
+        key = tree.edge_ids
+        if key not in self._zero_flow:
+            if self._J is None:  # zero_flow_transform, computed on first use
+                self._J = zero_flow_transform(self.graph, self.placement)
+            stat = zero_flow_statistic(self.graph, self.placement, self.model, tree, J=self._J)
+            self._zero_flow[key] = (list(stat.indices), ReducedGaussian(stat.mean, stat.covariance))
+        return self._zero_flow[key]
+
     def basis(self, tree: SpanningTree):
         key = tree.edge_ids
-        b = self._bases.get(key)
-        if b is None:
-            b = fundamental_cycle_basis(self.graph, tree)
-            self._bases[key] = b
-        return b
+        if key not in self._bases:
+            self._bases[key] = fundamental_cycle_basis(self.graph, tree)
+        return self._bases[key]
 
 
 def _finite(values: Sequence[float], what: str) -> np.ndarray:
@@ -194,6 +205,13 @@ def _finite(values: Sequence[float], what: str) -> np.ndarray:
     return v
 
 
+def _observation_and_cache(graph, placement, model, observation, cache):
+    """``observation`` checked by ``_finite``, and ``cache`` or a new HypothesisCache."""
+    if cache is None:
+        cache = HypothesisCache(graph, placement, model)
+    return _finite(observation, "observation"), cache
+
+
 def log_likelihood(
     graph: Graph,
     tree: SpanningTree,
@@ -202,8 +220,7 @@ def log_likelihood(
     observation: Sequence[float],
 ) -> float:
     """Gaussian log-density of the observation under one hypothesized tree."""
-    dist = hypothesis_flow_distribution(graph, tree, placement, model)
-    return ReducedGaussian(dist.mean, dist.covariance).logpdf(observation)
+    return HypothesisCache(graph, placement, model).loglik(tree, observation)
 
 
 # -- deterministic decoding ----------------------------------------------------
@@ -232,8 +249,6 @@ def detect_deterministic(
     support = {e for e in range(graph.n_edges) if abs(f[e]) > tol}
     for eid in required_edges:
         graph.check_edge(eid)
-        if abs(f[eid]) > tol and eid not in support:  # pragma: no cover - defensive
-            raise InconsistentObservationError("required edge carries inconsistent flow")
         support.add(eid)
     if not is_spanning_tree(graph, support):
         raise InconsistentObservationError(
@@ -284,17 +299,23 @@ def detect_map(
     Ties break toward the lexicographically smallest sorted edge tuple, which
     is the enumeration order.  Raises if every hypothesis is impossible.
     """
-    observation = _finite(observation, "observation")
-    if cache is None:
-        cache = HypothesisCache(graph, placement, model)
+    observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     if hypotheses is None:
-        hypotheses = enumerate_spanning_trees(graph, restriction)
+        hypotheses = cache.hypotheses(restriction)
+    return _most_likely(hypotheses, lambda tree: cache.loglik(tree, observation), "map")
+
+
+def _most_likely(hypotheses, score, method: str) -> DetectionResult:
+    """The first hypothesis of highest ``score(tree)``; -inf scores count as pruned.
+
+    Raises if every hypothesis is impossible.
+    """
     best_tree = None
     best_ll = _NEG_INF
     n = 0
     pruned = 0
     for tree in hypotheses:
-        ll = cache.loglik(tree, observation)
+        ll = score(tree)
         n += 1
         if ll == _NEG_INF:
             pruned += 1
@@ -305,7 +326,7 @@ def detect_map(
     return DetectionResult(
         tree=best_tree,
         log_likelihood=best_ll,
-        method="map",
+        method=method,
         iterations=n,
         pruned=pruned,
     )
@@ -343,7 +364,6 @@ class ZeroFlowStatistic:
     forecast-based flow, which are zero-mean when the hypothesis is true."""
 
     indices: tuple[int, ...]
-    selector: np.ndarray  # 0/1 matrix picking the co-tree entries out of the flow vector
     mean: np.ndarray
     covariance: np.ndarray
     transform: np.ndarray  # maps sensor deviations to the selected entries
@@ -361,16 +381,12 @@ def zero_flow_statistic(
 ) -> ZeroFlowStatistic:
     if J is None:
         J = zero_flow_transform(graph, placement)
-    indices = tuple(e for e in range(graph.n_edges) if e not in tree.edge_ids)
-    selector = np.zeros((len(indices), graph.n_edges))
-    for k, eid in enumerate(indices):
-        selector[k, eid] = 1.0
+    indices = tree.cotree(graph)
     H = J[list(indices), :]
     dist = hypothesis_flow_distribution(graph, tree, placement, model)
     cov = H @ dist.covariance @ H.T
     return ZeroFlowStatistic(
         indices=indices,
-        selector=selector,
         mean=np.zeros(len(indices)),
         covariance=cov,
         transform=H,
@@ -383,12 +399,14 @@ def detect_zero_flow_map(
     model: LoadModel,
     observation: Sequence[float],
     restriction: Iterable[int] = (),
+    cache: HypothesisCache | None = None,
 ) -> DetectionResult:
     """Likelihood search on the unmeasured-edge residuals of one flow solve.
 
     Computes the relaxed flow once from the forecast loads, then scores each
     hypothesis by how plausibly its co-tree entries are zero.  Selects the
-    same tree as detect_map for minimal valid placements.
+    same tree as detect_map for minimal valid placements.  ``cache`` is
+    optional; pass one to reuse the statistics' Gaussians across calls.
     """
     mu = circuit_rank(graph)
     if len(placement.edge_ids) != mu:
@@ -398,31 +416,14 @@ def detect_zero_flow_map(
     if not is_valid_placement(graph, placement):
         raise InvalidPlacementError("zero-flow test needs a valid placement")
     model.check_graph(graph)
-    observation = _finite(observation, "observation")
+    observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
-    J = zero_flow_transform(graph, placement)
-    best_tree = None
-    best_ll = _NEG_INF
-    n = 0
-    pruned = 0
-    for tree in enumerate_spanning_trees(graph, restriction):
-        stat = zero_flow_statistic(graph, placement, model, tree, J=J)
-        rg = ReducedGaussian(stat.mean, stat.covariance)
-        ll = rg.logpdf(f_o[list(stat.indices)])
-        n += 1
-        if ll == _NEG_INF:
-            pruned += 1
-        elif best_tree is None or ll > best_ll:
-            best_tree, best_ll = tree, ll
-    if best_tree is None:
-        raise NoFeasibleHypothesisError("all hypotheses have zero likelihood")
-    return DetectionResult(
-        tree=best_tree,
-        log_likelihood=best_ll,
-        method="zeroflow",
-        iterations=n,
-        pruned=pruned,
-    )
+
+    def score(tree):
+        indices, rg = cache.zero_flow(tree)
+        return rg.logpdf(f_o[indices])
+
+    return _most_likely(cache.hypotheses(restriction), score, "zeroflow")
 
 
 # -- flow-weighted spanning tree -------------------------------------------------
@@ -443,9 +444,7 @@ def detect_fmst(
     optional; pass one to reuse hypothesis Gaussians across calls.
     """
     model.check_graph(graph)
-    observation = _finite(observation, "observation")
-    if cache is None:
-        cache = HypothesisCache(graph, placement, model)
+    observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     tree = max_weight_spanning_tree(graph, np.abs(f_o), required_edges)
     ll = cache.loglik(tree, observation)
@@ -514,9 +513,7 @@ def detect_cycle_descent(
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
     """
-    observation = _finite(observation, "observation")
-    if cache is None:
-        cache = HypothesisCache(graph, placement, model)
+    observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     required = frozenset(required_edges)
     mu = max(circuit_rank(graph), 1)
     if max_sweeps is None:
@@ -575,9 +572,7 @@ def local_map_search(
     lies on no other basis cycle.  Neighborhood size is at most the sum of
     (cycle length - 1) over the basis.
     """
-    observation = _finite(observation, "observation")
-    if cache is None:
-        cache = HypothesisCache(graph, placement, model)
+    observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     required = frozenset(required_edges)
     basis = cache.basis(seed_tree)
     candidates: list[SpanningTree] = []
@@ -603,3 +598,30 @@ def local_map_search(
         method="local",
         iterations=1 + len(candidates),
     )
+
+
+# -- registry ----------------------------------------------------------------------
+
+
+def _enumeration_single(graph, placement, model, observation, restriction, cache):
+    hits = detect_enumeration_oracle(graph, placement, model.means, observation, restriction)
+    if len(hits) != 1:
+        raise GridTreeError(f"enumeration oracle returned {len(hits)} trees")
+    return DetectionResult(tree=hits[0], log_likelihood=0.0, method="enum")
+
+
+#: name -> callable(graph, placement, model, observation, restriction, cache)
+#: returning a DetectionResult; ``cache`` may be None.  Each entry looks its
+#: detector up by module-global name when called, so rebinding a detector
+#: (as an instrumenting wrapper does) also reaches the calls made here.
+DETECTORS = {
+    "deterministic": lambda g, p, m, s, r, c: detect_deterministic(g, p, m.means, s, r),
+    "enum": _enumeration_single,
+    "map": lambda g, p, m, s, r, c: detect_map(g, p, m, s, r, cache=c),
+    "zeroflow": lambda g, p, m, s, r, c: detect_zero_flow_map(g, p, m, s, r, cache=c),
+    "fmst": lambda g, p, m, s, r, c: detect_fmst(g, p, m, s, r, cache=c),
+    "cycledescent": lambda g, p, m, s, r, c: detect_cycle_descent(
+        g, p, m, s, cache=c, required_edges=r
+    ),
+}
+DETECTOR_NAMES = tuple(DETECTORS)

@@ -80,22 +80,36 @@ def format_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_placement(text: str) -> Placement:
-    slots: dict[int, int] = {}
+def _parse_indexed(
+    text: str, keyword: str, value: str, noun: str, convert, bad_fields: str
+) -> list:
+    """Values of ``<keyword> <k> <value>`` lines in order of k, which must be dense 0..n-1.
+
+    ``noun`` names the index in error messages; ``bad_fields`` is the message
+    for a line whose k or value does not convert.  Float values must be finite.
+    """
+    slots: dict = {}
     for lineno, line in _content_lines(text):
         parts = line.split()
-        if parts[0] != "sensor" or len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'sensor <k> <edge id>'")
+        if parts[0] != keyword or len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected '{keyword} <k> <{value}>'")
         try:
-            k, eid = int(parts[1]), int(parts[2])
+            k, val = int(parts[1]), convert(parts[2])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: sensor fields must be integers") from None
+            raise GraphFormatError(f"line {lineno}: {bad_fields}") from None
+        if isinstance(val, float) and not math.isfinite(val):
+            raise GraphFormatError(f"line {lineno}: {noun} value must be finite")
         if k in slots:
-            raise GraphFormatError(f"line {lineno}: duplicate sensor index {k}")
-        slots[k] = eid
+            raise GraphFormatError(f"line {lineno}: duplicate {noun} index {k}")
+        slots[k] = val
     if sorted(slots) != list(range(len(slots))):
-        raise GraphFormatError("sensor indices must be dense 0..|M|-1")
-    return Placement(tuple(slots[k] for k in range(len(slots))))
+        raise GraphFormatError(f"{noun} indices must be dense 0..|M|-1")
+    return [slots[k] for k in range(len(slots))]
+
+
+def parse_placement(text: str) -> Placement:
+    ids = _parse_indexed(text, "sensor", "edge id", "sensor", int, "sensor fields must be integers")
+    return Placement(tuple(ids))
 
 
 def format_placement(placement: Placement) -> str:
@@ -134,23 +148,8 @@ def format_loads(model: LoadModel) -> str:
 
 
 def parse_observation(text: str) -> np.ndarray:
-    slots: dict[int, float] = {}
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] != "obs" or len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'obs <k> <value>'")
-        try:
-            k, val = int(parts[1]), float(parts[2])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: bad observation fields") from None
-        if not math.isfinite(val):
-            raise GraphFormatError(f"line {lineno}: observation value must be finite")
-        if k in slots:
-            raise GraphFormatError(f"line {lineno}: duplicate observation index {k}")
-        slots[k] = val
-    if sorted(slots) != list(range(len(slots))):
-        raise GraphFormatError("observation indices must be dense 0..|M|-1")
-    return np.array([slots[k] for k in range(len(slots))])
+    values = _parse_indexed(text, "obs", "value", "observation", float, "bad observation fields")
+    return np.array(values)
 
 
 def format_observation(values) -> str:

@@ -4,6 +4,10 @@ Sign convention: a measured value is positive when power flows along the
 edge's reference direction (tail -> head).  The consumption vector is
 ``y = [sum(x) at the root, -x at load vertices, 0 elsewhere]`` so that the
 incidence system ``B f = y`` balances production against consumption.
+
+Tree quantities come from one rooting, ``graph.root_tree``: observation
+matrices walk up from each load vertex to the root, and edge flows add
+subtree loads in reverse DFS pop order, children before parents.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import InvalidPlacementError, ModelError
-from .graph import Graph, SpanningTree
+from .graph import Graph, SpanningTree, root_tree
 from .placement import Placement
 
 
@@ -80,35 +84,6 @@ def consumption_vector(graph: Graph, loads: Sequence[float]) -> np.ndarray:
 # -- observation matrices ----------------------------------------------------
 
 
-def _downstream_structure(graph: Graph, tree: SpanningTree):
-    """DFS order, subtree extents and parent edges of the tree rooted at graph.root."""
-    adj: dict = {v: [] for v in graph.vertices}
-    for eid in tree.edge_ids:
-        u, v = graph.edges[eid]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    parent_edge: dict = {graph.root: None}
-    order: list = []
-    stack = [(graph.root, False)]
-    first = {}
-    last = {}
-    while stack:
-        node, done = stack.pop()
-        if done:
-            last[node] = len(order)
-            continue
-        first[node] = len(order)
-        order.append(node)
-        stack.append((node, True))
-        for y, eid in adj[node]:
-            if y not in parent_edge:
-                parent_edge[y] = eid
-                stack.append((y, False))
-    if len(order) != graph.n_vertices:
-        raise ModelError("tree does not span the graph")
-    return parent_edge, first, last, order
-
-
 def observation_matrix(graph: Graph, tree: SpanningTree, placement: Placement) -> np.ndarray:
     """|M| x |load_vertices| matrix mapping loads to measured flows under a tree.
 
@@ -119,22 +94,17 @@ def observation_matrix(graph: Graph, tree: SpanningTree, placement: Placement) -
     """
     for eid in placement.edge_ids:
         graph.check_edge(eid)
-    parent_edge, first, last, order = _downstream_structure(graph, tree)
-    pos = {v: i for i, v in enumerate(order)}
+    parent, _, _ = root_tree(graph, tree)
+    row_of = {eid: k for k, eid in enumerate(placement.edge_ids)}
     gamma = np.zeros((len(placement.edge_ids), len(graph.load_vertices)))
-    load_pos = [(j, pos[v]) for j, v in enumerate(graph.load_vertices)]
-    for k, eid in enumerate(placement.edge_ids):
-        if eid not in tree.edge_ids:
-            continue
-        tail, head = graph.edges[eid]
-        if parent_edge.get(head) == eid:
-            child, sign = head, 1.0
-        else:
-            child, sign = tail, -1.0
-        lo, hi = first[child], last[child]
-        for j, p in load_pos:
-            if lo <= p < hi:
-                gamma[k, j] = sign
+    for j, v in enumerate(graph.load_vertices):
+        up, eid = parent[v]
+        while up is not None:  # every edge on the path from v up to the root
+            k = row_of.get(eid)
+            if k is not None:
+                gamma[k, j] = 1.0 if graph.edges[eid][1] == v else -1.0
+            v = up
+            up, eid = parent[v]
     return gamma
 
 
@@ -172,22 +142,15 @@ def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) ->
     """Signed flow on every edge of the graph under a tree (zero on co-tree edges)."""
     x = np.asarray(loads, dtype=float)
     load_of = dict(zip(graph.load_vertices, x))
-    parent_edge, first, last, order = _downstream_structure(graph, tree)
+    parent, _, order = root_tree(graph, tree)
     subtree = {v: load_of.get(v, 0.0) for v in graph.vertices}
-    for v in reversed(order):
-        eid = parent_edge[v]
-        if eid is None:
-            continue
-        tail, head = graph.edges[eid]
-        up = tail if head == v else head
-        subtree[up] += subtree[v]
     flows = np.zeros(graph.n_edges)
-    for v in order:
-        eid = parent_edge[v]
-        if eid is None:
+    for v in reversed(order):  # children before parents
+        up, eid = parent[v]
+        if up is None:
             continue
-        tail, head = graph.edges[eid]
-        flows[eid] = subtree[v] if head == v else -subtree[v]
+        subtree[up] += subtree[v]
+        flows[eid] = subtree[v] if graph.edges[eid][1] == v else -subtree[v]
     return flows
 
 

@@ -17,6 +17,7 @@ from .errors import (
     GridTreeError,
     InfeasibleConstraintError,
     MalformedGraphError,
+    NotASpanningTreeError,
     UnknownEdgeError,
 )
 
@@ -232,6 +233,42 @@ def is_spanning_tree(graph: Graph, edge_ids: Iterable[int]) -> bool:
         if not uf.union(graph.vertex_index(u), graph.vertex_index(v)):
             return False
     return uf.n_components == 1
+
+
+def root_tree(graph: Graph, tree: SpanningTree):
+    """Root ``tree`` at the graph root by a stack DFS.
+
+    Returns ``(parent, depth, order)``: ``parent[v]`` is ``(parent vertex,
+    parent edge)``, ``(None, None)`` at the root; ``depth[v]`` counts the tree
+    edges between ``v`` and the root; ``order`` lists the vertices in pop
+    order, so every vertex comes after its parent.  Raises
+    NotASpanningTreeError unless the edge set has exactly |V|-1 edges and
+    reaches every vertex.
+    """
+    if len(tree.edge_ids) != graph.n_vertices - 1:
+        raise NotASpanningTreeError(
+            f"{len(tree.edge_ids)} edges cannot form a spanning tree of {graph.n_vertices} vertices"
+        )
+    adj: dict = {v: [] for v in graph.vertices}
+    for eid in tree.edge_ids:
+        u, v = graph.edges[eid]
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    parent: dict = {graph.root: (None, None)}
+    depth = {graph.root: 0}
+    order = []
+    stack = [graph.root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, eid in adj[x]:
+            if y not in parent:
+                parent[y] = (x, eid)
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    if len(order) != graph.n_vertices:
+        raise NotASpanningTreeError("tree does not span the graph")
+    return parent, depth, order
 
 
 def enumerate_spanning_trees(

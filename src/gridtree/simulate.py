@@ -24,22 +24,25 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detect import (
-    HypothesisCache,
-    detect_cycle_descent,
-    detect_deterministic,
-    detect_enumeration_oracle,
-    detect_fmst,
-    detect_map,
-    detect_zero_flow_map,
-    local_map_search,
-)
+from .detect import DETECTOR_NAMES, DETECTORS, HypothesisCache, local_map_search
 from .errors import GridTreeError, ModelError
 from .flows import LoadModel, observation_matrix, tree_edge_flows
-from .graph import Graph, SpanningTree, enumerate_spanning_trees
+from .graph import Graph, enumerate_spanning_trees
 from .placement import Placement, PlacementFamily
 
-DETECTOR_NAMES = ("deterministic", "enum", "map", "zeroflow", "fmst", "cycledescent")
+
+def _csv_text(header: list, rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv(report, path) -> None:
+    """``report.to_csv()`` written to ``path``; shared as each report's ``write_csv``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(report.to_csv())
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,8 @@ class ErrorReport:
         return sum(r.misses for r in rows) / trials
 
     def stderr(self, placement=None, detector=None, sigma=None) -> float:
-        rows = self.filtered(placement, detector, sigma)
-        trials = sum(r.trials for r in rows)
-        p = sum(r.misses for r in rows) / trials
+        p = self.rate(placement, detector, sigma)
+        trials = sum(r.trials for r in self.filtered(placement, detector, sigma))
         return float(np.sqrt(p * (1.0 - p) / trials))
 
     def g1(self, placement=None, detector=None, sigma=None) -> float:
@@ -136,11 +138,9 @@ class ErrorReport:
         return float(np.max([r.rate for r in rows]))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["placement", "detector", "sigma", "true_tree", "trials", "misses", "rate", "stderr"])
-        for r in self.rows:
-            w.writerow(
+        return _csv_text(
+            ["placement", "detector", "sigma", "true_tree", "trials", "misses", "rate", "stderr"],
+            (
                 [
                     r.placement,
                     r.detector,
@@ -151,12 +151,11 @@ class ErrorReport:
                     f"{r.rate:.12g}",
                     f"{r.stderr:.12g}",
                 ]
-            )
-        return buf.getvalue()
+                for r in self.rows
+            ),
+        )
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+    write_csv = _write_csv
 
 
 # -- deterministic sweep -------------------------------------------------------
@@ -175,16 +174,15 @@ class DeterministicReport:
     rows: list[DeterministicRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["placement", "n_trees", "eps", "eps_unsigned"])
-        for r in self.rows:
-            w.writerow([r.placement, r.n_trees, f"{r.eps:.12g}", f"{r.eps_unsigned:.12g}"])
-        return buf.getvalue()
+        return _csv_text(
+            ["placement", "n_trees", "eps", "eps_unsigned"],
+            (
+                [r.placement, r.n_trees, f"{r.eps:.12g}", f"{r.eps_unsigned:.12g}"]
+                for r in self.rows
+            ),
+        )
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+    write_csv = _write_csv
 
 
 def _collision_fraction(obs: np.ndarray) -> float:
@@ -230,42 +228,6 @@ def run_deterministic_sweep(
 # -- stochastic sweep ----------------------------------------------------------
 
 
-def _detect_once(
-    name: str,
-    graph: Graph,
-    placement: Placement,
-    model: LoadModel,
-    observation: np.ndarray,
-    restriction: frozenset[int],
-    cache: HypothesisCache,
-    hypotheses: Sequence[SpanningTree],
-) -> SpanningTree:
-    if name == "map":
-        return detect_map(
-            graph, placement, model, observation, hypotheses=hypotheses, cache=cache
-        ).tree
-    if name == "zeroflow":
-        return detect_zero_flow_map(graph, placement, model, observation, restriction).tree
-    if name == "fmst":
-        return detect_fmst(
-            graph, placement, model, observation, required_edges=restriction, cache=cache
-        ).tree
-    if name == "cycledescent":
-        return detect_cycle_descent(
-            graph, placement, model, observation, cache=cache, required_edges=restriction
-        ).tree
-    if name == "deterministic":
-        return detect_deterministic(
-            graph, placement, model.means, observation, required_edges=restriction
-        ).tree
-    if name == "enum":
-        hits = detect_enumeration_oracle(graph, placement, model.means, observation, restriction)
-        if len(hits) != 1:
-            raise GridTreeError(f"enumeration oracle returned {len(hits)} trees")
-        return hits[0]
-    raise ModelError(f"unknown detector {name!r}")
-
-
 def _cell_misses(name, config, cache, trees, flows_mat, t_idx) -> int:
     """Misses of one detector on one cell's readings (one row per trial)."""
     if name == "map" and not config.local_search:
@@ -277,12 +239,11 @@ def _cell_misses(name, config, cache, trees, flows_mat, t_idx) -> int:
         feasible = np.max(ll, axis=1) > float("-inf")
         return int(np.sum((picks != t_idx) | ~feasible))
     graph, placement, model = cache.graph, cache.placement, cache.model
+    detector = DETECTORS[name]
     misses = 0
     for obs in flows_mat:
         try:
-            tree = _detect_once(
-                name, graph, placement, model, obs, config.restriction, cache, trees
-            )
+            tree = detector(graph, placement, model, obs, config.restriction, cache).tree
             if config.local_search:
                 tree = local_map_search(
                     graph, placement, model, obs, tree,
@@ -374,16 +335,12 @@ class PlacementRanking:
     scores: list[PlacementScore] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["placement", "g1", "g2", "rank"])
-        for s in self.scores:
-            w.writerow([s.placement, f"{s.g1:.12g}", f"{s.g2:.12g}", s.rank])
-        return buf.getvalue()
+        return _csv_text(
+            ["placement", "g1", "g2", "rank"],
+            ([s.placement, f"{s.g1:.12g}", f"{s.g2:.12g}", s.rank] for s in self.scores),
+        )
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+    write_csv = _write_csv
 
 
 def evaluate_placements(

@@ -5,10 +5,21 @@ from pathlib import Path
 import pytest
 
 from gridtree import Placement, SpanningTree, hypothesis_flow
+from gridtree import (
+    detect_cycle_descent,
+    detect_deterministic,
+    detect_fmst,
+    detect_map,
+    detect_zero_flow_map,
+)
 from gridtree.cli import main
+from gridtree.detect import DETECTOR_NAMES
 from gridtree.fileio import (
     format_observation,
     format_placement,
+    read_graph,
+    read_loads,
+    read_observation,
     write_loads,
     write_placement,
 )
@@ -274,3 +285,36 @@ def test_console_module_smoke(tmp_path):
     )
     assert res.returncode == 0
     assert len(res.stdout.splitlines()) == 44
+
+
+class TestDetectorRegistry:
+    @pytest.mark.parametrize("method", [m for m in DETECTOR_NAMES if m != "enum"])
+    def test_cli_prints_the_direct_call_result(
+        self, method, island, island_files, tmp_path, capsys
+    ):
+        gpath, lpath = island_files
+        pl = Placement((6, 7, 10, 12))
+        tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
+        s = hypothesis_flow(island.graph, tree, pl, island.load_model.means)
+        ppath, opath, out = tmp_path / "p.place", tmp_path / "o.obs", tmp_path / "res.csv"
+        ppath.write_text(format_placement(pl))
+        opath.write_text(format_observation(s))
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath),
+            "--method", method, "--require-tau", "--out", str(out),
+        ])
+        assert rc == 0
+        model = read_loads(lpath)
+        g = read_graph(gpath).with_load_vertices(model.nodes)
+        obs, tau = read_observation(opath), g.root_edges()
+        direct = {
+            "deterministic": lambda: detect_deterministic(g, pl, model.means, obs, tau),
+            "map": lambda: detect_map(g, pl, model, obs, tau),
+            "zeroflow": lambda: detect_zero_flow_map(g, pl, model, obs, tau),
+            "fmst": lambda: detect_fmst(g, pl, model, obs, required_edges=tau),
+            "cycledescent": lambda: detect_cycle_descent(g, pl, model, obs, required_edges=tau),
+        }[method]()
+        assert capsys.readouterr().out == direct.tree.label() + "\n"
+        row = ",".join(str(c) for c in direct.csv_row())
+        assert out.read_text().splitlines()[1] == row

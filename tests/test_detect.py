@@ -553,3 +553,24 @@ class TestLocalSearch:
             seed_misses += f.tree.edge_ids != true.edge_ids
             refined_misses += r.tree.edge_ids != true.edge_ids
         assert refined_misses <= seed_misses
+
+
+class TestZeroFlowCache:
+    def test_cache_gives_same_result(self, island, tau_trees):
+        pl = Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.3)
+        cache = HypothesisCache(island.graph, pl, model)
+        rng = np.random.default_rng(13)
+        for tree in tau_trees[::7]:
+            x = model.means + 0.3 * rng.standard_normal(5)
+            s = hypothesis_flow(island.graph, tree, pl, x)
+            cold = detect_zero_flow_map(island.graph, pl, model, s, island.tau)
+            warm = detect_zero_flow_map(island.graph, pl, model, s, island.tau, cache=cache)
+            assert warm == cold
+
+    def test_hypotheses_enumerated_once_per_restriction(self, island, tau_trees):
+        cache = HypothesisCache(island.graph, Placement((6, 7, 10, 12)), island.load_model)
+        first = cache.hypotheses(island.tau)
+        assert first == tau_trees
+        assert cache.hypotheses(set(island.tau)) is first
+        assert len(cache.hypotheses()) > len(first)

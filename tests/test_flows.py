@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from gridtree import (
     sample_loads,
     tree_edge_flows,
 )
+from gridtree import NotASpanningTreeError, is_spanning_tree
 
 UNIT_LOADS = np.ones(4)
 
@@ -264,3 +266,33 @@ class TestIslandFixture:
     def test_tau_edges_touch_root(self, island):
         for eid in island.tau:
             assert "vr" in island.graph.endpoints(eid)
+
+
+class TestRejectsEdgeSetsThatAreNotTrees:
+    """A spanning edge set with a cycle used to give numbers from an arbitrary DFS tree."""
+
+    @staticmethod
+    def _non_trees(graph):
+        nine = next(
+            c for c in itertools.combinations(range(graph.n_edges), graph.n_vertices - 1)
+            if not is_spanning_tree(graph, c)
+        )
+        return [range(graph.n_edges), (0, 1, 2), nine]
+
+    def test_observation_matrix(self, island):
+        pl = Placement((6, 7, 10, 12))
+        for edges in self._non_trees(island.graph):
+            with pytest.raises(NotASpanningTreeError):
+                observation_matrix(island.graph, SpanningTree(frozenset(edges)), pl)
+
+    def test_tree_edge_flows(self, island):
+        for edges in self._non_trees(island.graph):
+            with pytest.raises(NotASpanningTreeError):
+                tree_edge_flows(island.graph, SpanningTree(frozenset(edges)), island.load_model.means)
+
+    def test_hypothesis_distribution(self, island):
+        every_edge = SpanningTree(frozenset(range(island.graph.n_edges)))
+        with pytest.raises(NotASpanningTreeError):
+            hypothesis_flow_distribution(
+                island.graph, every_edge, Placement((6, 7, 10, 12)), island.load_model
+            )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from gridtree import (
     is_spanning_tree,
     max_weight_spanning_tree,
 )
+from gridtree import NotASpanningTreeError
+from gridtree.graph import root_tree
 from conftest import random_connected_graph
 
 EXAMPLE_INCIDENCE = np.array(
@@ -205,3 +209,30 @@ def test_spanning_tree_helpers(island):
     assert w.sum() == 9
     assert set(t.cotree(island.graph)) == set(range(13)) - set(t.edge_ids)
     assert t.label() == " ".join(str(e) for e in t.sorted_ids)
+
+
+class TestRootTree:
+    def test_parents_depths_and_pop_order(self, island):
+        g = island.graph
+        for tree in list(enumerate_spanning_trees(g))[::37]:
+            parent, depth, order = root_tree(g, tree)
+            assert order[0] == g.root and sorted(order) == sorted(g.vertices)
+            assert parent[g.root] == (None, None) and depth[g.root] == 0
+            seen = {g.root}
+            for v in order[1:]:
+                up, eid = parent[v]
+                assert up in seen  # a parent is popped before its children
+                assert set(g.edges[eid]) == {up, v}
+                assert depth[v] == depth[up] + 1
+                seen.add(v)
+            assert {parent[v][1] for v in order[1:]} == tree.edge_ids
+
+    def test_rejects_sets_that_are_not_spanning_trees(self, island):
+        g = island.graph
+        with_cycle = next(
+            c for c in itertools.combinations(range(g.n_edges), g.n_vertices - 1)
+            if not is_spanning_tree(g, c)
+        )
+        for edges in (range(g.n_edges), (0, 1), with_cycle):
+            with pytest.raises(NotASpanningTreeError):
+                root_tree(g, SpanningTree(frozenset(edges)))

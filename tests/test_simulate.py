@@ -231,3 +231,45 @@ class TestEvaluatePlacements:
         lines = ranking.to_csv().splitlines()
         assert lines[0] == "placement,g1,g2,rank"
         assert len(lines) == 3
+
+
+class TestZeroFlowSweepReuse:
+    def test_one_zero_flow_gaussian_build_per_hypothesis_per_group(
+        self, island, tau_family, monkeypatch
+    ):
+        builds = []
+        init = gridtree.detect.ReducedGaussian.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(gridtree.detect.ReducedGaussian, "__init__", counting_init)
+        config = ExperimentConfig(
+            graph=island.graph,
+            load_model=island.load_model,
+            placements=tau_family.placements[:2],
+            sigmas=(0.1, 0.4),
+            trials=2,
+            detectors=("zeroflow",),
+            seed=4,
+            restriction=island.tau,
+        )
+        report = run_stochastic_sweep(config)
+        assert len(report.rows) == 2 * 2 * 44
+        assert 0 < len(builds) <= 2 * 2 * 44
+
+
+class TestCsvFiles:
+    def test_write_csv_writes_to_csv(self, island, tau_family, tmp_path):
+        family = type(tau_family)(placements=tau_family.placements[:2], forbidden=tau_family.forbidden)
+        ranking, report = evaluate_placements(
+            island.graph, family, island.load_model, sigma=0.2, trials=2, restriction=island.tau
+        )
+        deterministic = run_deterministic_sweep(
+            island.graph, family, island.load_model.means, restriction=island.tau
+        )
+        for k, table in enumerate((ranking, report, deterministic)):
+            path = tmp_path / f"{k}.csv"
+            table.write_csv(path)
+            assert path.read_bytes() == table.to_csv().encode()
