@@ -97,9 +97,8 @@ def fundamental_cycle_basis(graph: Graph, tree: SpanningTree) -> FundamentalCycl
     generators = tree.cotree(graph)
     cycles = []
     for g in generators:
-        u, v = graph.edges[g]
+        a, b = graph.edges[g]
         path = set()
-        a, b = u, v
         while a != b:  # step the deeper end up until both meet at their common ancestor
             if depth[a] < depth[b]:
                 a, b = b, a

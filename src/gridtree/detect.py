@@ -113,14 +113,18 @@ class ReducedGaussian:
         self.keep = np.array(keep, dtype=int)
         self.dep = np.array(dep, dtype=int)
         self.rank = len(keep)
-        # with nothing kept or nothing dependent, these are empty arrays of the right shapes
+        # with nothing kept (zero covariance) these are empty arrays of the right shapes
         sub = cov[np.ix_(keep, keep)]
         chol = np.linalg.cholesky(sub)
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         self.inv = np.linalg.inv(sub)
         self.mean_keep = mean[self.keep]
-        self.dep_coef = cov[np.ix_(dep, keep)] @ self.inv
-        self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
+        if dep:
+            self.dep_coef = cov[np.ix_(dep, keep)] @ self.inv
+            self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
+        else:
+            self.dep_coef = np.zeros((0, len(keep)))
+            self.dep_offset = np.zeros(0)
 
     def logpdf(self, values: Sequence[float]) -> float:
         v = np.asarray(values, dtype=float)

@@ -246,9 +246,7 @@ def root_tree(graph: Graph, tree: SpanningTree):
     reaches every vertex.
     """
     if len(tree.edge_ids) != graph.n_vertices - 1:
-        raise NotASpanningTreeError(
-            f"{len(tree.edge_ids)} edges cannot form a spanning tree of {graph.n_vertices} vertices"
-        )
+        raise NotASpanningTreeError("a spanning tree needs exactly |V|-1 edges")
     adj: dict = {v: [] for v in graph.vertices}
     for eid in tree.edge_ids:
         u, v = graph.edges[eid]

@@ -73,7 +73,7 @@ def placement_to_tree(graph: Graph, placement: Placement) -> SpanningTree:
 
 
 def tree_to_placement(graph: Graph, tree: SpanningTree) -> Placement:
-    return Placement(tuple(e for e in range(graph.n_edges) if e not in tree.edge_ids))
+    return Placement(tree.cotree(graph))
 
 
 def tree_placement_bijection(graph: Graph, tree_or_placement):
