@@ -14,7 +14,6 @@ from . import fileio
 from .detect import (
     DETECTOR_NAMES,
     DETECTORS,
-    HypothesisCache,
     detect_enumeration_oracle,
     local_map_search,
 )
@@ -184,12 +183,9 @@ def _cmd_detect(args) -> int:
         if args.out:
             _emit(labels, args.out)
         return 0
-    cache = HypothesisCache(graph, placement, model)
-    result = DETECTORS[method](graph, placement, model, obs, restriction, cache)
+    result = DETECTORS[method](graph, placement, model, obs, restriction, None)
     if args.local_search:
-        result = local_map_search(
-            graph, placement, model, obs, result.tree, cache=cache, required_edges=restriction
-        )
+        result = local_map_search(graph, placement, model, obs, result.tree, required_edges=restriction)
     print(result.tree.label())
     if args.out:
         row = ",".join(str(c) for c in result.csv_row())

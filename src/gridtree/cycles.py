@@ -5,7 +5,7 @@ has degree exactly two and the edges form a single closed walk.  Symmetric
 difference is the vector addition of this space; it is closed over the cycle
 space but not over single cycles, so XOR results carry a validity flag.
 A fundamental cycle is found on the tree rooted by ``graph.root_tree`` by
-stepping the deeper end of its co-tree edge up until both ends meet.
+walking both ends of its co-tree edge up to their lowest common ancestor.
 """
 
 from __future__ import annotations
@@ -98,12 +98,17 @@ def fundamental_cycle_basis(graph: Graph, tree: SpanningTree) -> FundamentalCycl
     cycles = []
     for g in generators:
         a, b = graph.edges[g]
+        if depth[a] < depth[b]:
+            a, b = b, a
         path = set()
-        while a != b:  # step the deeper end up until both meet at their common ancestor
-            if depth[a] < depth[b]:
-                a, b = b, a
+        while depth[a] > depth[b]:  # climb the deeper end to the other's depth
             a, eid = parent[a]
             path.add(eid)
+        while a != b:  # then both ends together up to their lowest common ancestor
+            a, ea = parent[a]
+            b, eb = parent[b]
+            path.add(ea)
+            path.add(eb)
         cycles.append(Cycle(frozenset(path) | {g}))
     return FundamentalCycleBasis(tuple(cycles), generators)
 
