@@ -1,13 +1,14 @@
 """Tree detectors: deterministic decoding, exact likelihood search, the
 zero-flow likelihood test, and two polynomial-time approximate searches.
 
-All detectors share one Gaussian machinery that tolerates rank-deficient
-hypothesis covariances: the density is evaluated on a maximal full-rank
-coordinate subset and the remaining coordinates must match their implied
-values exactly (within a relative tolerance), otherwise the hypothesis is
-assigned -inf.  A HypothesisCache memoizes, per (graph, placement, model),
-the hypothesis set, each tree's Gaussians and its cycle basis; every
-likelihood detector takes one as an optional ``cache``.
+All likelihood detectors share one Gaussian for rank-deficient hypothesis
+covariances, ReducedGaussian: one Cholesky elimination in coordinate order
+keeps a maximal full-rank coordinate subset that carries the density, and
+every other coordinate must match its implied value (within a relative
+tolerance), otherwise the hypothesis is assigned -inf.  A HypothesisCache
+memoizes, per (graph, placement, model), the hypothesis set, each tree's
+Gaussians and its cycle basis; every likelihood detector takes one as an
+optional ``cache``.
 
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
 the Monte Carlo sweep alike.
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .flows import (
     LoadModel,
+    _solve_unmeasured,
     hypothesis_flow_distribution,
     relaxed_flow_solution,
     tree_edge_flows,
@@ -85,46 +87,39 @@ def _row_max_abs(A: np.ndarray) -> np.ndarray:
 class ReducedGaussian:
     """Gaussian with possibly singular covariance, evaluated on independent coords.
 
-    A greedy scan (ascending coordinate index) keeps a maximal subset whose
-    covariance submatrix stays above the eigenvalue guard; every remaining
-    coordinate is an affine function of the kept ones and is consistency-checked
-    at evaluation time.
+    One Cholesky elimination in ascending coordinate index keeps each
+    coordinate whose residual pivot exceeds ``1e-12 * trace(cov)``; the kept
+    rows of the factor give the log-determinant and the triangular whitening
+    factor ``whiten``.  Every skipped coordinate is an affine function of the
+    kept ones and is consistency-checked at evaluation time.  Pivoting on the
+    largest diagonal would keep a different subset and change every score.
     """
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
         mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
         m = len(mean)
-        guard = 1e-12 * float(np.trace(cov))
+        A = np.array(cov, dtype=float)  # residual of the elimination; cov stays as given
+        guard = 1e-12 * float(np.trace(A))
+        L = np.zeros((m, m))
         keep: list[int] = []
         for j in range(m):
-            trial = keep + [j]
-            sub = cov[np.ix_(trial, trial)]
-            if len(trial) == 1:
-                ok = sub[0, 0] > guard
-            else:
-                ok = float(np.linalg.eigvalsh(sub)[0]) > guard
-            if ok:
-                keep = trial
-        dep = [j for j in range(m) if j not in keep]
+            if A[j, j] > guard:  # variance of j left over by the kept coordinates before it
+                L[j:, j] = A[j:, j] / np.sqrt(A[j, j])
+                A[j:, j:] -= np.outer(L[j:, j], L[j:, j])
+                keep.append(j)
+        L = L[:, keep]  # the Cholesky factor: cov = L @ L.T up to the guard
         self.mean = mean
         # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
         self.tol_scale = max(1.0, float(np.max(np.abs(mean), initial=0.0)))
         self.keep = np.array(keep, dtype=int)
-        self.dep = np.array(dep, dtype=int)
+        self.dep = np.array([j for j in range(m) if j not in keep], dtype=int)
         self.rank = len(keep)
         # with nothing kept (zero covariance) these are empty arrays of the right shapes
-        sub = cov[np.ix_(keep, keep)]
-        chol = np.linalg.cholesky(sub)
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        self.inv = np.linalg.inv(sub)
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(L[self.keep]))))
+        self.whiten = np.linalg.inv(L[self.keep])
         self.mean_keep = mean[self.keep]
-        if dep:
-            self.dep_coef = cov[np.ix_(dep, keep)] @ self.inv
-            self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
-        else:
-            self.dep_coef = np.zeros((0, len(keep)))
-            self.dep_offset = np.zeros(0)
+        self.dep_coef = L[self.dep] @ self.whiten
+        self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
 
     def logpdf(self, values: Sequence[float]) -> float:
         v = np.asarray(values, dtype=float)
@@ -135,22 +130,20 @@ class ReducedGaussian:
                 return _NEG_INF
         if not self.rank:
             return 0.0
-        d = v[self.keep] - self.mean_keep
-        quad = float(d @ self.inv @ d)
+        z = self.whiten @ (v[self.keep] - self.mean_keep)
+        quad = float(z @ z)
         return -0.5 * (self.rank * _LOG_2PI + self.logdet + quad)
 
     def logpdf_batch(self, values: np.ndarray) -> np.ndarray:
         V = np.asarray(values, dtype=float)
-        out = np.zeros(len(V))
         ok = np.ones(len(V), dtype=bool)
         if self.dep.size:
             implied = self.dep_offset + V[:, self.keep] @ self.dep_coef.T
             tol = 1e-9 * np.maximum(self.tol_scale, _row_max_abs(V))  # one per row
             ok = _row_max_abs(V[:, self.dep] - implied) <= tol
-        if self.rank:
-            d = V[:, self.keep] - self.mean_keep
-            quad = np.einsum("ij,jk,ik->i", d, self.inv, d)
-            out = -0.5 * (self.rank * _LOG_2PI + self.logdet + quad)
+        Z = (V[:, self.keep] - self.mean_keep) @ self.whiten.T
+        quad = np.einsum("ij,ij->i", Z, Z)
+        out = -0.5 * (self.rank * _LOG_2PI + self.logdet + quad)  # -0.0 where nothing is kept
         return np.where(ok, out, _NEG_INF)
 
 
@@ -346,17 +339,9 @@ def zero_flow_transform(graph: Graph, placement: Placement) -> np.ndarray:
     edge closes against the unmeasured spanning tree; measured rows form an
     identity block.
     """
-    measured = list(placement.edge_ids)
-    free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
-    if len(free) != graph.n_vertices - 1:
-        raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
-    Br = graph.reduced_incidence
-    try:
-        jn = -np.linalg.solve(Br[:, free], Br[:, measured])
-    except np.linalg.LinAlgError as exc:
-        raise InvalidPlacementError("unmeasured edges do not form a spanning tree") from exc
+    measured, free, X = _solve_unmeasured(graph, placement, lambda Bm: Bm)
     J = np.zeros((graph.n_edges, len(measured)))
-    J[free, :] = jn
+    J[free, :] = -X
     for k, eid in enumerate(measured):
         J[eid, k] = 1.0
     return J

@@ -141,6 +141,8 @@ def hypothesis_flow(
 def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) -> np.ndarray:
     """Signed flow on every edge of the graph under a tree (zero on co-tree edges)."""
     x = np.asarray(loads, dtype=float)
+    if x.shape != (len(graph.load_vertices),):
+        raise ModelError("one load per load vertex required")
     load_of = dict(zip(graph.load_vertices, x))
     parent, _, order = root_tree(graph, tree)
     subtree = {v: load_of.get(v, 0.0) for v in graph.vertices}
@@ -155,6 +157,23 @@ def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) ->
 
 
 # -- relaxed flow solution ----------------------------------------------------
+
+
+def _solve_unmeasured(graph: Graph, placement: Placement, rhs):
+    """Measured ids, unmeasured ("free") ids, and X solving
+    ``Br[:, free] X = rhs(Br[:, measured])`` for the reduced incidence Br.
+    InvalidPlacementError unless the free edges form a spanning tree.
+    """
+    measured = list(placement.edge_ids)
+    free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
+    if len(free) != graph.n_vertices - 1:
+        raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
+    Br = graph.reduced_incidence
+    b = rhs(Br[:, measured])
+    try:
+        return measured, free, np.linalg.solve(Br[:, free], b)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidPlacementError("unmeasured edges do not form a spanning tree") from exc
 
 
 def relaxed_flow_solution(
@@ -173,18 +192,11 @@ def relaxed_flow_solution(
     s = np.asarray(observation, dtype=float)
     if s.shape != (len(placement.edge_ids),):
         raise InvalidPlacementError("one observation per sensor required")
-    measured = list(placement.edge_ids)
-    free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
-    if len(free) != graph.n_vertices - 1:
-        raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
-    Br = graph.reduced_incidence
-    y = consumption_vector(graph, loads)
-    yr = np.delete(y, graph.root_index)
-    rhs = yr - Br[:, measured] @ s
-    try:
-        f_free = np.linalg.solve(Br[:, free], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidPlacementError("unmeasured edges do not form a spanning tree") from exc
+
+    def rhs(Bm):  # consumption at the non-root vertices, less the measured flows
+        return np.delete(consumption_vector(graph, loads), graph.root_index) - Bm @ s
+
+    measured, free, f_free = _solve_unmeasured(graph, placement, rhs)
     f = np.zeros(graph.n_edges)
     f[free] = f_free
     f[measured] = s

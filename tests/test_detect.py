@@ -23,13 +23,16 @@ from gridtree import (
     feasible_tree,
     fundamental_cycle_basis,
     hypothesis_flow,
+    hypothesis_flow_distribution,
     local_map_search,
     log_likelihood,
+    observation_matrix,
     tree_edge_flows,
     zero_flow_statistic,
     zero_flow_transform,
 )
 from gridtree.detect import HypothesisCache, ReducedGaussian
+from conftest import random_connected_graph
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
 
@@ -104,6 +107,94 @@ class TestReducedGaussian:
         batch = rg.logpdf_batch(np.array([row, [0.0, 1e4]]))
         assert batch[0] == float("-inf")
         assert batch[1] == rg.logpdf([0.0, 1e4])
+
+
+def _eigenvalue_scan(cov):
+    """Reference kept set: a greedy scan in coordinate order that keeps j when
+    the smallest eigenvalue of the kept submatrix with j added stays above
+    ``1e-12 * trace(cov)``."""
+    guard = 1e-12 * float(np.trace(cov))
+    keep = []
+    for j in range(len(cov)):
+        trial = keep + [j]
+        if np.linalg.eigvalsh(cov[np.ix_(trial, trial)])[0] > guard:
+            keep = trial
+    return keep
+
+
+def _reference_scores(mean, cov, keep, V):
+    """Log-density of each row of V on the kept coordinates by direct solves;
+    -inf where a dependent coordinate misses its implied value."""
+    dep = [j for j in range(len(mean)) if j not in keep]
+    C = cov[np.ix_(keep, keep)]
+    D = V[:, keep] - mean[keep]
+    S = np.linalg.solve(C, D.T).T if keep else D
+    implied = mean[dep] + S @ cov[np.ix_(dep, keep)].T
+    tol = 1e-9 * np.maximum(max(1.0, np.max(np.abs(mean), initial=0.0)), np.max(np.abs(V), axis=1))
+    ok = np.all(np.abs(V[:, dep] - implied) <= tol[:, None], axis=1)
+    quad = np.einsum("ij,ij->i", D, S)
+    scores = -0.5 * (len(keep) * math.log(2 * math.pi) + np.linalg.slogdet(C)[1] + quad)
+    return np.where(ok, scores, -np.inf)
+
+
+class TestFactorisationMatchesEigenvalueScan:
+    """ReducedGaussian keeps the coordinates the eigenvalue scan keeps, and
+    scores like direct solves on them, on hypothesis covariances of the island
+    and of random multigraphs."""
+
+    @staticmethod
+    def _check(graph, trees, placement, model, rng, counts):
+        draws = [model.means + model.stddevs * rng.standard_normal(len(model.means)) for _ in range(2)]
+        gammas = [observation_matrix(graph, t, placement) for t in trees]
+        V = np.array([gm @ x for x in draws for gm in gammas])
+        for h, tree in enumerate(trees):
+            dist = hypothesis_flow_distribution(graph, tree, placement, model)
+            cov = dist.covariance.copy()
+            rg = ReducedGaussian(dist.mean, dist.covariance)
+            assert np.array_equal(dist.covariance, cov)  # the caller's cov is left as given
+            keep = _eigenvalue_scan(cov)
+            assert rg.keep.tolist() == keep
+            assert rg.dep.tolist() == [j for j in range(len(cov)) if j not in keep]
+            C = cov[np.ix_(keep, keep)]
+            assert abs(rg.logdet - np.linalg.slogdet(C)[1]) <= 1e-9
+            ref = _reference_scores(dist.mean, cov, keep, V)
+            batch = rg.logpdf_batch(V)
+            assert np.array_equal(np.isinf(batch), np.isinf(ref))
+            assert batch[np.isfinite(ref)] == pytest.approx(ref[np.isfinite(ref)])
+            for i in (h, len(trees) + (h + 1) % len(trees)):  # own readings and another tree's
+                one = rg.logpdf(V[i])
+                assert one == ref[i] if np.isinf(ref[i]) else one == pytest.approx(ref[i])
+            counts["cases"] += 1
+            counts["deficient"] += bool(rg.dep.size)
+            counts["inf"] += int(np.isinf(ref).sum())
+            counts["finite"] += int(np.isfinite(ref).sum())
+
+    def test_island_hypotheses(self, island, tau_trees, tau_placements):
+        rng = np.random.default_rng(31)
+        counts = {"cases": 0, "deficient": 0, "inf": 0, "finite": 0}
+        models = [island.load_model.with_stddev(sd) for sd in (0.05, 0.2, 1.0)]
+        models.append(island.load_model.with_cv(5.0))
+        for pl in tau_placements:
+            for model in models:
+                self._check(island.graph, tau_trees, pl, model, rng, counts)
+        assert counts["cases"] == 44 * 44 * 4
+        assert 0 < counts["deficient"] < counts["cases"]
+        assert counts["inf"] > 0 and counts["finite"] > 0
+
+    def test_random_multigraph_hypotheses(self):
+        rng = np.random.default_rng(37)
+        counts = {"cases": 0, "deficient": 0, "inf": 0, "finite": 0}
+        for _ in range(60):
+            g = random_connected_graph(rng)
+            trees = list(enumerate_spanning_trees(g))[:12]
+            n_sensors = int(rng.integers(1, g.n_edges + 1))
+            pl = Placement(tuple(sorted(rng.choice(g.n_edges, n_sensors, replace=False).tolist())))
+            n = len(g.load_vertices)
+            variances = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.2)  # some exact loads
+            model = LoadModel(tuple(g.load_vertices), rng.uniform(0.5, 1.5, n), variances)
+            self._check(g, trees, pl, model, rng, counts)
+        assert 0 < counts["deficient"] < counts["cases"]
+        assert counts["inf"] > 0 and counts["finite"] > 0
 
 
 class TestLogLikelihood:
@@ -220,6 +311,13 @@ class TestEnumerationOracle:
         s = hypothesis_flow(g, tree, pl, loads)
         hits = detect_enumeration_oracle(g, pl, loads, s)
         assert len(hits) >= 2
+
+    def test_wrong_load_count_raises(self, island):
+        # four loads for five load vertices used to match no tree and return ()
+        with pytest.raises(ModelError, match="one load per load vertex required"):
+            detect_enumeration_oracle(
+                island.graph, Placement((6, 7, 10, 12)), np.ones(4), np.ones(4)
+            )
 
 
 class TestDetectMap:

@@ -24,7 +24,7 @@ from gridtree import (
     sample_loads,
     tree_edge_flows,
 )
-from gridtree import NotASpanningTreeError, is_spanning_tree
+from gridtree import NotASpanningTreeError, UnknownEdgeError, is_spanning_tree
 
 UNIT_LOADS = np.ones(4)
 
@@ -296,3 +296,21 @@ class TestRejectsEdgeSetsThatAreNotTrees:
             hypothesis_flow_distribution(
                 island.graph, every_edge, Placement((6, 7, 10, 12)), island.load_model
             )
+
+
+class TestTreeInputsChecked:
+    """Inputs that used to give numbers instead of an error."""
+
+    def test_tree_edge_flows_needs_one_load_per_load_vertex(self, island):
+        tree = next(enumerate_spanning_trees(island.graph, island.tau))
+        for loads in (np.ones(4), np.ones(6)):
+            with pytest.raises(ModelError, match="one load per load vertex required"):
+                tree_edge_flows(island.graph, tree, loads)
+
+    def test_edge_ids_outside_the_graph(self, island):
+        g = island.graph
+        tree = next(t for t in enumerate_spanning_trees(g, island.tau) if 11 in t.edge_ids)
+        for bad in (-2, g.n_edges):  # -2 used to index edge 11 from the end
+            wrong = SpanningTree((tree.edge_ids - {11}) | {bad})
+            with pytest.raises(UnknownEdgeError):
+                observation_matrix(g, wrong, Placement((11,)))
