@@ -51,7 +51,7 @@ _NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionResult:
     """Detector output: the chosen tree plus run diagnostics."""
 

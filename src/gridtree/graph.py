@@ -169,7 +169,7 @@ class Graph:
         return f"Graph({self.n_vertices} vertices, {self.n_edges} edges, root={self.root!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanningTree:
     """Edge subset forming a spanning tree; hashable, usable as a cache key."""
 
