@@ -10,6 +10,15 @@ memoizes, per (graph, placement, model), the hypothesis set, each tree's
 Gaussians and its cycle basis; every likelihood detector takes one as an
 optional ``cache``.
 
+Exact sensor-support pruning: a sensor on an edge outside a hypothesis tree
+has an all-zero observation row, so that coordinate has zero mean and zero
+variance, and any reading on it above the Gaussian's consistency tolerance
+scores -inf.  ``detect_map``, ``detect_cycle_descent`` and ``local_map_search``
+compute once per call the *support* (``_sensor_support``), the sensor edges
+whose reading exceeds a threshold at least as large as every hypothesis's
+tolerance, and never build or score a tree lacking one of them: that tree
+gets -inf exactly as scoring it would, so every result is unchanged.
+
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
 the Monte Carlo sweep alike.
 """
@@ -151,6 +160,11 @@ class HypothesisCache:
     """Per-(graph, placement, model) memo of hypothesis sets, distributions and bases."""
 
     def __init__(self, graph: Graph, placement: Placement, model: LoadModel):
+        # the checks of the first Gaussian build, made here because a pruned
+        # detection may build none
+        model.check_graph(graph)
+        for eid in placement.edge_ids:
+            graph.check_edge(eid)
         self.graph = graph
         self.placement = placement
         self.model = model
@@ -207,6 +221,30 @@ def _observation_and_cache(graph, placement, model, observation, cache):
     if cache is None:
         cache = HypothesisCache(graph, placement, model)
     return _finite(observation, "observation"), cache
+
+
+def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndarray) -> frozenset:
+    """Sensor edges whose reading rules out every tree that lacks them.
+
+    The threshold is ``1e-9 * max(1, 2 * sum|mu|, max|s|)``.  Every entry of an
+    observation matrix is 0 or +-1, so every hypothesis mean entry satisfies
+    |mean_T| <= sum|mu|; the factor 2 absorbs its rounding.  The threshold is
+    therefore at least ReducedGaussian's consistency tolerance
+    ``1e-9 * max(tol_scale, max|s|)`` for every tree.  A tree without sensor
+    edge e has an all-zero row for e: zero mean, zero variance, so e is always
+    a dependent coordinate whose implied value is exactly 0, and a reading on
+    e above the threshold makes that tree's log-likelihood -inf.  Pass the
+    placement and model the Gaussians are built from (the cache's).
+    """
+    if len(observation) != len(placement.edge_ids):  # as relaxed_flow_solution
+        raise InvalidPlacementError("one observation per sensor required")
+    scale = max(
+        1.0,
+        2.0 * float(np.sum(np.abs(model.means))),
+        float(np.max(np.abs(observation), initial=0.0)),
+    )
+    threshold = 1e-9 * scale
+    return frozenset(eid for eid, v in zip(placement.edge_ids, observation) if abs(v) > threshold)
 
 
 def log_likelihood(
@@ -295,11 +333,21 @@ def detect_map(
 
     Ties break toward the lexicographically smallest sorted edge tuple, which
     is the enumeration order.  Raises if every hypothesis is impossible.
+    A tree lacking a sensor-support edge (``_sensor_support``) is scored -inf
+    without building its Gaussian, which is the score it would get; it still
+    counts in ``iterations`` and ``pruned``.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     if hypotheses is None:
         hypotheses = cache.hypotheses(restriction)
-    return _most_likely(hypotheses, lambda tree: cache.loglik(tree, observation), "map")
+    support = _sensor_support(cache.placement, cache.model, observation)
+
+    def score(tree):
+        if not support <= tree.edge_ids:
+            return _NEG_INF
+        return cache.loglik(tree, observation)
+
+    return _most_likely(hypotheses, score, "map")
 
 
 def _most_likely(hypotheses, score, method: str) -> DetectionResult:
@@ -501,9 +549,14 @@ def detect_cycle_descent(
     Exchanges never remove a ``required_edges`` member, so a search seeded
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
+    Exchanges never remove a sensor-support edge (``_sensor_support``) either:
+    the start tree holds every one, and a tree lacking one scores -inf, which
+    can never beat the current likelihood, so skipping those moves changes
+    nothing.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     required = frozenset(required_edges)
+    support = _sensor_support(cache.placement, cache.model, observation)
     mu = max(circuit_rank(graph), 1)
     if max_sweeps is None:
         max_sweeps = 100 * mu
@@ -522,7 +575,7 @@ def detect_cycle_descent(
             cyc = basis.cycles[slot]
             best_ll = cur_ll
             best_tree = None
-            for out in sorted(cyc.edges - {gen} - required):
+            for out in sorted(cyc.edges - {gen} - required - support):
                 cand = SpanningTree((tree.edge_ids - {out}) | {gen})
                 ll = cache.loglik(cand, observation)
                 if ll > best_ll:
@@ -559,10 +612,13 @@ def local_map_search(
     The neighborhood consists of trees sharing the seed's fundamental cycle
     basis: swap the generator of a cycle with another edge of that cycle that
     lies on no other basis cycle.  Neighborhood size is at most the sum of
-    (cycle length - 1) over the basis.
+    (cycle length - 1) over the basis, and ``iterations`` counts it in full;
+    the seed and candidates lacking a sensor-support edge
+    (``_sensor_support``) are not scored, since they would score -inf.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     required = frozenset(required_edges)
+    support = _sensor_support(cache.placement, cache.model, observation)
     basis = cache.basis(seed_tree)
     candidates: list[SpanningTree] = []
     for k, cyc in enumerate(basis.cycles):
@@ -576,8 +632,10 @@ def local_map_search(
                 continue
             candidates.append(SpanningTree((seed_tree.edge_ids - {out}) | {gen}))
     best_tree = seed_tree
-    best_ll = cache.loglik(seed_tree, observation)
+    best_ll = cache.loglik(seed_tree, observation) if support <= seed_tree.edge_ids else _NEG_INF
     for cand in candidates:
+        if not support <= cand.edge_ids:
+            continue
         ll = cache.loglik(cand, observation)
         if ll > best_ll:
             best_tree, best_ll = cand, ll

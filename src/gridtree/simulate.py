@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
@@ -311,6 +310,9 @@ def run_stochastic_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorRep
     if workers <= 1:
         results = [run_group(t) for t in tasks]
     else:
+        # imported here: the pool machinery costs every single-worker process memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_group, tasks))
     report = ErrorReport()
