@@ -236,7 +236,7 @@ def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndar
     e above the threshold makes that tree's log-likelihood -inf.  Pass the
     placement and model the Gaussians are built from (the cache's).
     """
-    if len(observation) != len(placement.edge_ids):  # as relaxed_flow_solution
+    if len(observation) != len(placement.edge_ids):  # the error relaxed_flow_solution raises
         raise InvalidPlacementError("one observation per sensor required")
     scale = max(
         1.0,

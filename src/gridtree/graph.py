@@ -249,7 +249,7 @@ def root_tree(graph: Graph, tree: SpanningTree):
         raise NotASpanningTreeError("a spanning tree needs exactly |V|-1 edges")
     adj: dict = {v: [] for v in graph.vertices}
     for eid in tree.edge_ids:
-        graph.check_edge(eid)  # a negative id would index from the end, a float raise TypeError
+        graph.check_edge(eid)  # a negative id would index from the end, a float would raise TypeError
         u, v = graph.edges[eid]
         adj[u].append((v, eid))
         adj[v].append((u, eid))

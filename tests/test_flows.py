@@ -314,3 +314,13 @@ class TestTreeInputsChecked:
             wrong = SpanningTree((tree.edge_ids - {11}) | {bad})
             with pytest.raises(UnknownEdgeError):
                 observation_matrix(g, wrong, Placement((11,)))
+
+    def test_edge_ids_that_are_not_integers(self, island):
+        g = island.graph
+        tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 5, 8, 9, 11}))
+        assert is_spanning_tree(g, tree.edge_ids)
+        wrong = SpanningTree((tree.edge_ids - {0}) | {0.0})  # used to raise a bare TypeError
+        with pytest.raises(UnknownEdgeError, match="unknown edge id 0.0"):
+            observation_matrix(g, wrong, Placement((11,)))
+        with pytest.raises(UnknownEdgeError, match="unknown edge id 0.0"):
+            tree_edge_flows(g, wrong, np.ones(5))

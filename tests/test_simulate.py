@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -273,3 +278,17 @@ class TestCsvFiles:
             path = tmp_path / f"{k}.csv"
             table.write_csv(path)
             assert path.read_bytes() == table.to_csv().encode()
+
+
+class TestLazyProcessPool:
+    def test_import_leaves_the_pool_unloaded(self):
+        # a sweep with one worker never needs concurrent.futures.process or
+        # multiprocessing; run_stochastic_sweep imports them for workers > 1
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, gridtree; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
