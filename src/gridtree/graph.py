@@ -242,14 +242,16 @@ def root_tree(graph: Graph, tree: SpanningTree):
     parent edge)``, ``(None, None)`` at the root; ``depth[v]`` counts the tree
     edges between ``v`` and the root; ``order`` lists the vertices in pop
     order, so every vertex comes after its parent.  Raises UnknownEdgeError
-    for an edge id that is not an integer in ``0..|E|-1`` and NotASpanningTreeError unless the
-    edge set has exactly |V|-1 edges and reaches every vertex.
+    for an edge id that is not an integer in ``0..|E|-1`` and
+    NotASpanningTreeError unless the edge set has exactly |V|-1 edges and
+    reaches every vertex.
     """
     if len(tree.edge_ids) != graph.n_vertices - 1:
         raise NotASpanningTreeError("a spanning tree needs exactly |V|-1 edges")
     adj: dict = {v: [] for v in graph.vertices}
     for eid in tree.edge_ids:
-        graph.check_edge(eid)  # a negative id would index from the end, a float would raise TypeError
+        # checked here: a negative id would index from the end, a float raise TypeError
+        graph.check_edge(eid)
         u, v = graph.edges[eid]
         adj[u].append((v, eid))
         adj[v].append((u, eid))

@@ -132,12 +132,12 @@ class TestPruningChangesNoResult:
     """The three pruned detectors, with and without the prune, field by field."""
 
     @staticmethod
-    def _run_all(graph, pl, model, s, restriction):
-        seed = detect_fmst(graph, pl, model, s, restriction).tree
+    def _run_all(graph, pl, model, s, required):
+        seed = detect_fmst(graph, pl, model, s, required).tree
         return (
-            _outcome(lambda: detect_map(graph, pl, model, s, restriction)),
-            _outcome(lambda: detect_cycle_descent(graph, pl, model, s, required_edges=restriction)),
-            _outcome(lambda: local_map_search(graph, pl, model, s, seed, required_edges=restriction)),
+            _outcome(lambda: detect_map(graph, pl, model, s, required)),
+            _outcome(lambda: detect_cycle_descent(graph, pl, model, s, required_edges=required)),
+            _outcome(lambda: local_map_search(graph, pl, model, s, seed, required_edges=required)),
         )
 
     @pytest.mark.parametrize("n", [3, 4])
