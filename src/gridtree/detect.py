@@ -5,19 +5,17 @@ All likelihood detectors share one Gaussian for rank-deficient hypothesis
 covariances, ReducedGaussian: one Cholesky elimination in coordinate order
 keeps a maximal full-rank coordinate subset that carries the density, and
 every other coordinate must match its implied value (within a relative
-tolerance), otherwise the hypothesis is assigned -inf.  A HypothesisCache
-memoizes, per (graph, placement, model), the hypothesis set, each tree's
-Gaussians and its cycle basis; every likelihood detector takes one as an
-optional ``cache``.
+tolerance), otherwise the hypothesis is assigned -inf.  One fixed-order
+kernel computes that score from elementwise multiplies and adds only; a
+single row runs it on Python floats and a batch on numpy columns, so a row
+scores the same bits either way.  A HypothesisCache memoizes, per (graph,
+placement, model), the hypothesis set, each tree's Gaussians and its cycle
+basis; every likelihood detector takes one as an optional ``cache``, which
+must have been built for the detector's own graph, placement and model.
 
-Exact sensor-support pruning: a sensor on an edge outside a hypothesis tree
-has an all-zero observation row, so that coordinate has zero mean and zero
-variance, and any reading on it above the Gaussian's consistency tolerance
-scores -inf.  ``detect_map``, ``detect_cycle_descent`` and ``local_map_search``
-compute once per call the *support* (``_sensor_support``), the sensor edges
-whose reading exceeds a threshold at least as large as every hypothesis's
-tolerance, and never build or score a tree lacking one of them: that tree
-gets -inf exactly as scoring it would, so every result is unchanged.
+``detect_map``, ``detect_cycle_descent`` and ``local_map_search`` never
+build or score a tree that lacks a sensor-support edge, which leaves every
+result unchanged; ``_sensor_support`` states why.
 
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
 the Monte Carlo sweep alike.
@@ -81,25 +79,13 @@ class DetectionResult:
         ]
 
 
-def _row_max_abs(A: np.ndarray) -> np.ndarray:
-    """max |A[i, :]| for each row, by a loop over the columns.
-
-    ``logpdf_batch`` arrays have many rows and a few columns; for them this
-    loop is much faster than ``np.max(np.abs(A), axis=1)``.
-    """
-    out = np.abs(A[:, 0])
-    for j in range(1, A.shape[1]):
-        np.maximum(out, np.abs(A[:, j]), out=out)
-    return out
-
-
 class ReducedGaussian:
     """Gaussian with possibly singular covariance, evaluated on independent coords.
 
     One Cholesky elimination in ascending coordinate index keeps each
     coordinate whose residual pivot exceeds ``1e-12 * trace(cov)``; the kept
-    rows of the factor give the log-determinant and the triangular whitening
-    factor ``whiten``.  Every skipped coordinate is an affine function of the
+    rows of the factor give the log-determinant and the lower-triangular
+    whitening factor.  Every skipped coordinate is an affine function of the
     kept ones and is consistency-checked at evaluation time.  Pivoting on the
     largest diagonal would keep a different subset and change every score.
     """
@@ -118,42 +104,60 @@ class ReducedGaussian:
                 keep.append(j)
         L = L[:, keep]  # the Cholesky factor: cov = L @ L.T up to the guard
         self.mean = mean
-        # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
-        self.tol_scale = max(1.0, float(np.max(np.abs(mean), initial=0.0)))
         self.keep = np.array(keep, dtype=int)
         self.dep = np.array([j for j in range(m) if j not in keep], dtype=int)
         self.rank = len(keep)
+        mean_list = mean.tolist()
+        # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
+        self.tol_scale = max([1.0, *map(abs, mean_list)])
         # with nothing kept (zero covariance) these are empty arrays of the right shapes
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(L[self.keep]))))
-        self.whiten = np.linalg.inv(L[self.keep])
-        self.mean_keep = mean[self.keep]
-        self.dep_coef = L[self.dep] @ self.whiten
-        self.dep_offset = mean[self.dep] - self.dep_coef @ self.mean_keep
+        L_keep = L[self.keep]
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(L_keep))))
+        whiten = np.linalg.inv(L_keep)  # lower triangular, as L_keep is
+        dep_coef = L[self.dep] @ whiten
+        dep_offset = mean[self.dep] - dep_coef @ mean[self.keep]
+        # the factors as the Python rows _kernel reads
+        self._centre = [(a, mean_list[a]) for a in keep]
+        self._whiten = [row[: i + 1] for i, row in enumerate(whiten.tolist())]
+        self._implied = [
+            (j, off, list(zip(keep, coef)))
+            for j, off, coef in zip(self.dep.tolist(), dep_offset.tolist(), dep_coef.tolist())
+        ]
+
+    def _kernel(self, v, ok, maximum):
+        """``(ok, score)`` of one row (``v`` floats, ``maximum`` max) or of many
+        (``v`` numpy columns, ``maximum`` np.maximum); ``ok`` is False where a
+        dependent coordinate misses its implied value by more than
+        ``1e-9 * max(tol_scale, max |v|)``.  Only elementwise multiplies and
+        adds run, in one fixed order, so a row scores the same bits alone or in
+        a batch; rank 0 scores +0.0.
+        """
+        scale = self.tol_scale
+        for x in v:
+            scale = maximum(scale, abs(x))
+        tol = 1e-9 * scale
+        for j, implied, coefs in self._implied:
+            for a, c in coefs:
+                implied = implied + c * v[a]
+            ok = ok & (abs(v[j] - implied) <= tol)
+        d = [v[a] - mu for a, mu in self._centre]
+        quad = 0.0
+        for row in self._whiten:
+            z = 0.0
+            for w, da in zip(row, d):
+                z = z + w * da
+            quad = quad + z * z
+        return ok, 0.0 - 0.5 * ((self.rank * _LOG_2PI + self.logdet) + quad)
 
     def logpdf(self, values: Sequence[float]) -> float:
-        v = np.asarray(values, dtype=float)
-        if self.dep.size:
-            implied = self.dep_offset + self.dep_coef @ v[self.keep]
-            tol = 1e-9 * max(self.tol_scale, float(np.max(np.abs(v))))
-            if np.max(np.abs(v[self.dep] - implied)) > tol:
-                return _NEG_INF
-        if not self.rank:
-            return 0.0
-        z = self.whiten @ (v[self.keep] - self.mean_keep)
-        quad = float(z @ z)
-        return -0.5 * (self.rank * _LOG_2PI + self.logdet + quad)
+        ok, score = self._kernel(np.asarray(values, dtype=float).tolist(), True, max)
+        return score if ok else _NEG_INF
 
     def logpdf_batch(self, values: np.ndarray) -> np.ndarray:
         V = np.asarray(values, dtype=float)
-        ok = np.ones(len(V), dtype=bool)
-        if self.dep.size:
-            implied = self.dep_offset + V[:, self.keep] @ self.dep_coef.T
-            tol = 1e-9 * np.maximum(self.tol_scale, _row_max_abs(V))  # one per row
-            ok = _row_max_abs(V[:, self.dep] - implied) <= tol
-        Z = (V[:, self.keep] - self.mean_keep) @ self.whiten.T
-        quad = np.einsum("ij,ij->i", Z, Z)
-        out = -0.5 * (self.rank * _LOG_2PI + self.logdet + quad)  # -0.0 where nothing is kept
-        return np.where(ok, out, _NEG_INF)
+        cols = list(np.ascontiguousarray(V.T))
+        ok, score = self._kernel(cols, np.ones(len(V), dtype=bool), np.maximum)
+        return np.where(ok, score, _NEG_INF)
 
 
 class HypothesisCache:
@@ -217,9 +221,12 @@ def _finite(values: Sequence[float], what: str) -> np.ndarray:
 
 
 def _observation_and_cache(graph, placement, model, observation, cache):
-    """``observation`` checked by ``_finite``, and ``cache`` or a new HypothesisCache."""
+    """``observation`` checked by ``_finite``, and ``cache`` or a new HypothesisCache;
+    ModelError if ``cache`` was built for another graph, placement or model."""
     if cache is None:
         cache = HypothesisCache(graph, placement, model)
+    elif cache.graph is not graph or cache.placement != placement or cache.model is not model:
+        raise ModelError("cache was built for another graph, placement or model")
     return _finite(observation, "observation"), cache
 
 
@@ -233,8 +240,12 @@ def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndar
     ``1e-9 * max(tol_scale, max|s|)`` for every tree.  A tree without sensor
     edge e has an all-zero row for e: zero mean, zero variance, so e is always
     a dependent coordinate whose implied value is exactly 0, and a reading on
-    e above the threshold makes that tree's log-likelihood -inf.  Pass the
-    placement and model the Gaussians are built from (the cache's).
+    e above the threshold makes that tree's log-likelihood -inf.
+
+    So ``detect_map`` and ``local_map_search`` may skip such trees, and
+    ``detect_cycle_descent`` never removes a support edge: its start tree
+    (``feasible_tree``, whose zero tolerance is lower) holds every one, and a
+    -inf candidate never beats the current likelihood.
     """
     if len(observation) != len(placement.edge_ids):  # the error relaxed_flow_solution raises
         raise InvalidPlacementError("one observation per sensor required")
@@ -333,14 +344,14 @@ def detect_map(
 
     Ties break toward the lexicographically smallest sorted edge tuple, which
     is the enumeration order.  Raises if every hypothesis is impossible.
-    A tree lacking a sensor-support edge (``_sensor_support``) is scored -inf
-    without building its Gaussian, which is the score it would get; it still
-    counts in ``iterations`` and ``pruned``.
+    A tree lacking a sensor-support edge scores -inf without its Gaussian
+    being built, and still counts in ``iterations`` and ``pruned``; see
+    ``_sensor_support`` for why that is its exact score.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     if hypotheses is None:
         hypotheses = cache.hypotheses(restriction)
-    support = _sensor_support(cache.placement, cache.model, observation)
+    support = _sensor_support(placement, model, observation)
 
     def score(tree):
         if not support <= tree.edge_ids:
@@ -355,10 +366,7 @@ def _most_likely(hypotheses, score, method: str) -> DetectionResult:
 
     Raises if every hypothesis is impossible.
     """
-    best_tree = None
-    best_ll = _NEG_INF
-    n = 0
-    pruned = 0
+    best_tree, best_ll, n, pruned = None, _NEG_INF, 0, 0
     for tree in hypotheses:
         ll = score(tree)
         n += 1
@@ -452,7 +460,6 @@ def detect_zero_flow_map(
         )
     if not is_valid_placement(graph, placement):
         raise InvalidPlacementError("zero-flow test needs a valid placement")
-    model.check_graph(graph)
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
 
@@ -480,7 +487,6 @@ def detect_fmst(
     The chosen tree is scored by its Gaussian log-likelihood.  ``cache`` is
     optional; pass one to reuse hypothesis Gaussians across calls.
     """
-    model.check_graph(graph)
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     tree = max_weight_spanning_tree(graph, np.abs(f_o), required_edges)
@@ -549,14 +555,12 @@ def detect_cycle_descent(
     Exchanges never remove a ``required_edges`` member, so a search seeded
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
-    Exchanges never remove a sensor-support edge (``_sensor_support``) either:
-    the start tree holds every one, and a tree lacking one scores -inf, which
-    can never beat the current likelihood, so skipping those moves changes
-    nothing.
+    Exchanges never remove a sensor-support edge either, which changes
+    nothing; see ``_sensor_support`` for why.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     required = frozenset(required_edges)
-    support = _sensor_support(cache.placement, cache.model, observation)
+    support = _sensor_support(placement, model, observation)
     mu = max(circuit_rank(graph), 1)
     if max_sweeps is None:
         max_sweeps = 100 * mu
@@ -613,23 +617,17 @@ def local_map_search(
     basis: swap the generator of a cycle with another edge of that cycle that
     lies on no other basis cycle.  Neighborhood size is at most the sum of
     (cycle length - 1) over the basis, and ``iterations`` counts it in full;
-    the seed and candidates lacking a sensor-support edge
-    (``_sensor_support``) are not scored, since they would score -inf.
+    the seed and candidates lacking a sensor-support edge are not scored,
+    since they would score -inf (see ``_sensor_support``).
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     required = frozenset(required_edges)
-    support = _sensor_support(cache.placement, cache.model, observation)
+    support = _sensor_support(placement, model, observation)
     basis = cache.basis(seed_tree)
     candidates: list[SpanningTree] = []
-    for k, cyc in enumerate(basis.cycles):
-        gen = basis.generators[k]
-        others: set[int] = set()
-        for j, other in enumerate(basis.cycles):
-            if j != k:
-                others |= other.edges
-        for out in sorted(cyc.edges - {gen} - required):
-            if out in others:
-                continue
+    for k, (gen, cyc) in enumerate(zip(basis.generators, basis.cycles)):
+        others = set().union(*(c.edges for j, c in enumerate(basis.cycles) if j != k))
+        for out in sorted(cyc.edges - {gen} - required - others):
             candidates.append(SpanningTree((seed_tree.edge_ids - {out}) | {gen}))
     best_tree = seed_tree
     best_ll = cache.loglik(seed_tree, observation) if support <= seed_tree.edge_ids else _NEG_INF

@@ -99,3 +99,17 @@ def random_connected_graph(rng: np.random.Generator) -> Graph:
             continue
         edges.append((vs[int(a)], vs[int(b)]))
     return Graph(vs, edges)
+
+
+def lattice_graph(n: int) -> Graph:
+    """n x n grid feeder rooted at a corner; every other vertex carries load."""
+    name = [[f"r{i}c{j}" for j in range(n)] for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                edges.append((name[i][j], name[i][j + 1]))
+            if i + 1 < n:
+                edges.append((name[i][j], name[i + 1][j]))
+    vertices = [v for row in name for v in row]
+    return Graph(vertices, edges, root=vertices[0])

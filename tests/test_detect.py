@@ -26,13 +26,15 @@ from gridtree import (
     hypothesis_flow_distribution,
     local_map_search,
     log_likelihood,
+    max_weight_spanning_tree,
     observation_matrix,
     tree_edge_flows,
+    tree_to_placement,
     zero_flow_statistic,
     zero_flow_transform,
 )
 from gridtree.detect import HypothesisCache, ReducedGaussian
-from conftest import random_connected_graph
+from conftest import lattice_graph, random_connected_graph
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
 
@@ -80,6 +82,11 @@ class TestReducedGaussian:
         rg = ReducedGaussian(np.array([1.5]), np.zeros((1, 1)))
         assert rg.logpdf([1.5]) == 0.0
         assert rg.logpdf([1.6]) == float("-inf")
+        # +0.0 on both paths, not -0.0
+        assert math.copysign(1.0, rg.logpdf([1.5])) == 1.0
+        batch = rg.logpdf_batch(np.array([[1.5], [1.6]]))
+        assert math.copysign(1.0, batch[0]) == 1.0
+        assert batch[1] == float("-inf")
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -195,6 +202,116 @@ class TestFactorisationMatchesEigenvalueScan:
             self._check(g, trees, pl, model, rng, counts)
         assert 0 < counts["deficient"] < counts["cases"]
         assert counts["inf"] > 0 and counts["finite"] > 0
+
+
+class TestOneRowEqualsBatch:
+    """``logpdf(row)`` and ``logpdf_batch(V)[i]`` are the same bits on every
+    row, -inf rows and rank-0 Gaussians included.  The rows are the exact
+    readings of every tree under one load draw, and the same readings with
+    one entry moved by about the consistency tolerance."""
+
+    @staticmethod
+    def _check(graph, trees, placement, model, rng, counts):
+        x = model.means + np.sqrt(model.variances) * rng.standard_normal(len(model.means))
+        V = np.array([observation_matrix(graph, t, placement) @ x for t in trees])
+        nudged = V.copy()
+        col = rng.integers(V.shape[1], size=len(V))
+        step = 1e-9 * np.maximum(1.0, np.max(np.abs(V), axis=1)) * rng.uniform(0.5, 2.0, len(V))
+        nudged[np.arange(len(V)), col] += step * rng.choice((-1.0, 1.0), len(V))
+        V = np.vstack([V, nudged])
+        for tree in trees:
+            dist = hypothesis_flow_distribution(graph, tree, placement, model)
+            rg = ReducedGaussian(dist.mean, dist.covariance)
+            batch = rg.logpdf_batch(V)
+            one = np.array([rg.logpdf(v) for v in V])
+            assert one.tobytes() == batch.tobytes(), [
+                (float(a).hex(), float(b).hex()) for a, b in zip(one, batch) if a.tobytes() != b.tobytes()
+            ]
+            counts["rank0"] += rg.rank == 0
+            counts["deficient"] += bool(rg.dep.size)
+            counts["inf"] += int(np.isinf(batch).sum())
+            counts["finite"] += int(np.isfinite(batch).sum())
+
+    @staticmethod
+    def _exact_loads(model, rng):
+        """``model`` with some of its loads, or all of them, made exact."""
+        n = len(model.means)
+        keep = rng.random(n) > 0.3 if rng.random() < 0.8 else np.zeros(n, dtype=bool)
+        return LoadModel(model.nodes, model.means, model.variances * keep)
+
+    def test_island_hypotheses(self, island, tau_trees, tau_placements):
+        rng = np.random.default_rng(41)
+        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite"), 0)
+        models = [island.load_model.with_stddev(sd) for sd in (0.05, 0.2, 1.0)]
+        models.append(island.load_model.with_cv(5.0))
+        for pl in tau_placements:
+            for model in models:
+                self._check(island.graph, tau_trees, pl, model, rng, counts)
+        assert min(counts.values()) > 0
+
+    def test_random_multigraph_hypotheses(self):
+        rng = np.random.default_rng(43)
+        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite"), 0)
+        for _ in range(60):
+            g = random_connected_graph(rng)
+            trees = list(enumerate_spanning_trees(g))[:12]
+            n_sensors = int(rng.integers(1, g.n_edges + 1))
+            pl = Placement(tuple(sorted(rng.choice(g.n_edges, n_sensors, replace=False).tolist())))
+            n = len(g.load_vertices)
+            model = LoadModel(tuple(g.load_vertices), rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 1.0, n))
+            self._check(g, trees, pl, self._exact_loads(model, rng), rng, counts)
+        assert min(counts.values()) > 0
+
+    def test_lattice_snapshots(self):
+        rng = np.random.default_rng(47)
+        g = lattice_graph(4)
+        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite"), 0)
+        for _ in range(12):
+            trees = [max_weight_spanning_tree(g, rng.random(g.n_edges)) for _ in range(12)]
+            pl = tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges)))
+            n = len(g.load_vertices)
+            model = LoadModel(g.load_vertices, rng.uniform(0.5, 1.5, n), np.full(n, 0.2**2))
+            self._check(g, trees, pl, self._exact_loads(model, rng), rng, counts)
+        assert min(counts.values()) > 0
+
+
+class TestCacheMustMatchProblem:
+    """A cache built for another graph, placement or model raises ModelError
+    in every likelihood detector, instead of answering for that problem."""
+
+    @staticmethod
+    def _detectors(g, pl, model, s, tau, seed, cache):
+        return (
+            lambda: detect_map(g, pl, model, s, tau, cache=cache),
+            lambda: detect_fmst(g, pl, model, s, tau, cache=cache),
+            lambda: detect_zero_flow_map(g, pl, model, s, tau, cache=cache),
+            lambda: detect_cycle_descent(g, pl, model, s, cache=cache, required_edges=tau),
+            lambda: local_map_search(g, pl, model, s, seed, cache=cache, required_edges=tau),
+        )
+
+    def test_mismatched_cache_raises(self, island, tau_trees):
+        from gridtree import build_island_fixture
+
+        g = island.graph
+        pl = Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        s = hypothesis_flow(g, tau_trees[3], pl, model.means)
+        wrong = (
+            HypothesisCache(g, pl, island.load_model.with_stddev(1.0)),  # another sigma
+            HypothesisCache(g, pl, island.load_model.with_stddev(0.2)),  # an equal model
+            HypothesisCache(g, Placement((6, 7, 10, 11)), model),
+            HypothesisCache(build_island_fixture().graph, pl, model),  # an equal graph
+        )
+        for cache in wrong:
+            for run in self._detectors(g, pl, model, s, island.tau, tau_trees[3], cache):
+                with pytest.raises(ModelError, match="cache was built for another"):
+                    run()
+        right = HypothesisCache(g, pl, model)
+        for run, cold in zip(
+            self._detectors(g, pl, model, s, island.tau, tau_trees[3], right),
+            self._detectors(g, pl, model, s, island.tau, tau_trees[3], None),
+        ):
+            assert run() == cold()
 
 
 class TestLogLikelihood:

@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 
 from gridtree import (
     LoadModel,
+    apply_edge_exchange,
     detect_map,
     detect_zero_flow_map,
+    encode_edge_exchange,
     enumerate_spanning_trees,
+    flow_residual,
     hypothesis_flow,
     log_likelihood,
     max_weight_spanning_tree,
+    relaxed_flow_solution,
+    tree_edge_flows,
     tree_to_placement,
 )
 from conftest import random_connected_graph
@@ -42,3 +47,27 @@ def test_map_is_brute_force_argmax_and_zero_flow_choice(seed, sigma):
     assert r.iterations == len(trees)
     assert r.pruned == scores.count(float("-inf"))
     assert detect_zero_flow_map(graph, placement, model, s).tree == r.tree
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_relaxed_flow_from_exact_readings_conserves(seed):
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng)
+    placement = tree_to_placement(graph, max_weight_spanning_tree(graph, rng.random(graph.n_edges)))
+    loads = rng.uniform(0.5, 1.5, len(graph.load_vertices))
+    true = max_weight_spanning_tree(graph, rng.random(graph.n_edges))
+    f = relaxed_flow_solution(graph, placement, loads, hypothesis_flow(graph, true, placement, loads))
+    assert flow_residual(graph, f, loads) < 1e-9
+    assert np.allclose(f, tree_edge_flows(graph, true, loads), rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_edge_exchange_round_trips(seed):
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng)
+    trees = list(enumerate_spanning_trees(graph))
+    for _ in range(4):
+        a, b = (trees[int(i)] for i in rng.integers(len(trees), size=2))
+        assert apply_edge_exchange(graph, encode_edge_exchange(graph, a, b)) == b

@@ -7,7 +7,6 @@ import pytest
 
 import gridtree.detect
 from gridtree import (
-    Graph,
     GridTreeError,
     InvalidPlacementError,
     LoadModel,
@@ -25,30 +24,17 @@ from gridtree import (
     tree_to_placement,
 )
 from gridtree.detect import HypothesisCache, _sensor_support
-
-
-def _lattice(n):
-    """n x n grid feeder rooted at a corner; every other vertex carries load."""
-    name = [[f"r{i}c{j}" for j in range(n)] for i in range(n)]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if j + 1 < n:
-                edges.append((name[i][j], name[i][j + 1]))
-            if i + 1 < n:
-                edges.append((name[i][j], name[i + 1][j]))
-    vertices = [v for row in name for v in row]
-    return Graph(vertices, edges, root=vertices[0])
+from conftest import lattice_graph
 
 
 @pytest.fixture(scope="module")
 def lattice3():
-    return _lattice(3)
+    return lattice_graph(3)
 
 
 @pytest.fixture(scope="module")
 def lattice4():
-    return _lattice(4)
+    return lattice_graph(4)
 
 
 def _random_tree(graph, rng, required=()):
