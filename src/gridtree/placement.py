@@ -32,6 +32,7 @@ class Placement:
     edge_ids: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "edge_ids", tuple(self.edge_ids))  # so a list compares and hashes
         if len(set(self.edge_ids)) != len(self.edge_ids):
             raise InvalidPlacementError("duplicate sensor edges")
 

@@ -295,7 +295,8 @@ class TestCacheMustMatchProblem:
         g = island.graph
         pl = Placement((6, 7, 10, 12))
         model = island.load_model.with_stddev(0.2)
-        s = hypothesis_flow(g, tau_trees[3], pl, model.means)
+        true = tau_trees[3]
+        s = hypothesis_flow(g, true, pl, model.means)
         wrong = (
             HypothesisCache(g, pl, island.load_model.with_stddev(1.0)),  # another sigma
             HypothesisCache(g, pl, island.load_model.with_stddev(0.2)),  # an equal model
@@ -303,13 +304,13 @@ class TestCacheMustMatchProblem:
             HypothesisCache(build_island_fixture().graph, pl, model),  # an equal graph
         )
         for cache in wrong:
-            for run in self._detectors(g, pl, model, s, island.tau, tau_trees[3], cache):
+            for run in self._detectors(g, pl, model, s, island.tau, true, cache):
                 with pytest.raises(ModelError, match="cache was built for another"):
                     run()
-        right = HypothesisCache(g, pl, model)
+        right = HypothesisCache(g, Placement([6, 7, 10, 12]), model)  # the same sensors as a list
         for run, cold in zip(
-            self._detectors(g, pl, model, s, island.tau, tau_trees[3], right),
-            self._detectors(g, pl, model, s, island.tau, tau_trees[3], None),
+            self._detectors(g, pl, model, s, island.tau, true, right),
+            self._detectors(g, pl, model, s, island.tau, true, None),
         ):
             assert run() == cold()
 

@@ -38,6 +38,13 @@ class TestValidity:
         with pytest.raises(InvalidPlacementError):
             Placement((1, 1))
 
+    def test_list_of_edges_is_the_same_placement(self):
+        pl = Placement([6, 7, 10, 12])
+        assert pl == Placement((6, 7, 10, 12)) and pl.edge_ids == (6, 7, 10, 12)
+        assert hash(pl) == hash(Placement((6, 7, 10, 12)))
+        with pytest.raises(InvalidPlacementError):
+            Placement([1, 1])
+
 
 class TestBijection:
     def test_island_tree_maps_to_four_sensors(self, island):
