@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="gridtree",
@@ -95,7 +102,7 @@ def build_parser() -> _Parser:
                    help="post-process every detector with the local neighborhood search")
     p.add_argument("--require-tau", action="store_true",
                    help="hypothesis trees must contain the root edges")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_workers, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="CSV output file")
 
     p = add("rank-placements", "Score every minimal valid placement by mean/max miss rate.")
@@ -108,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="map", choices=DETECTOR_NAMES, help="detector to score")
     p.add_argument("--require-tau", action="store_true",
                    help="restrict trees and placements by the root edges")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_workers, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="ranking CSV output file")
     p.add_argument("--report-out", help="also write the per-tree sweep CSV here")
 
@@ -194,6 +201,8 @@ def _cmd_detect(args) -> int:
 
 
 def _sigma_list(args) -> tuple[float, ...]:
+    if args.sigma_grid and args.sigma is not None:
+        raise _UsageError("give one of --sigma / --sigma-grid, not both")
     if args.sigma_grid:
         return tuple(float(tok) for tok in args.sigma_grid.split(","))
     if args.sigma is not None:

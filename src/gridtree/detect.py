@@ -7,23 +7,32 @@ keeps a maximal full-rank coordinate subset that carries the density, and
 every other coordinate must match its implied value (within a relative
 tolerance), otherwise the hypothesis is assigned -inf.  One fixed-order
 kernel computes that score from elementwise multiplies and adds only; a
-single row runs it on Python floats and a batch on numpy columns, so a row
-scores the same bits either way.  A HypothesisCache memoizes, per (graph,
-placement, model), the hypothesis set, each tree's Gaussians and its cycle
-basis; every likelihood detector takes one as an optional ``cache``, which
-must have been built for the detector's own graph, placement and model.
+single row, or a batch under ``_PYTHON_ROWS`` rows, runs it on Python
+floats and a larger batch on numpy columns, so a row scores the same bits
+either way.  A HypothesisCache memoizes, per (graph, placement, model), the
+hypothesis set, each tree's Gaussians and its cycle basis; every likelihood
+detector takes one as an optional ``cache``, which must have been built for
+the detector's own graph, placement and model.
 
-``detect_map``, ``detect_cycle_descent`` and ``local_map_search`` never
-build or score a tree that lacks a sensor-support edge, which leaves every
-result unchanged; ``_sensor_support`` states why.
+A HypothesisBank numbers trees and scores them on a block of readings, one
+row per observation.  Cycle descent and the local search are walks over its
+neighbour tables (``_descent_walk``, ``_local_walk``), run on one row by
+``detect_cycle_descent`` and ``local_map_search`` and on many by the Monte
+Carlo sweep.
+
+``detect_map`` and the bank never build or score a tree that lacks a
+sensor-support edge, which leaves every result unchanged;
+``_sensor_support`` states why.
 
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
-the Monte Carlo sweep alike.
+the Monte Carlo sweep alike; ``DETECTOR_BATCHES`` holds the batch forms the
+sweep runs over a bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +65,10 @@ from .placement import Placement, is_valid_placement
 
 _NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
+#: Batches of fewer rows are scored one row at a time on Python floats: on
+#: the island, one numpy column call (about 20 us) costs as much as 7-9 rows
+#: on Python floats (2.3-3 us each).
+_PYTHON_ROWS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +112,8 @@ class ReducedGaussian:
         keep: list[int] = []
         for j in range(m):
             if A[j, j] > guard:  # variance of j left over by the kept coordinates before it
-                L[j:, j] = A[j:, j] / np.sqrt(A[j, j])
-                A[j:, j:] -= np.outer(L[j:, j], L[j:, j])
+                col = L[j:, j] = A[j:, j] / np.sqrt(A[j, j])
+                A[j:, j:] -= col[:, None] * col  # np.outer's product, without its call overhead
                 keep.append(j)
         L = L[:, keep]  # the Cholesky factor: cov = L @ L.T up to the guard
         self.mean = mean
@@ -155,6 +168,9 @@ class ReducedGaussian:
 
     def logpdf_batch(self, values: np.ndarray) -> np.ndarray:
         V = np.asarray(values, dtype=float)
+        if len(V) < _PYTHON_ROWS:  # the same bits as the numpy columns, only faster here
+            scored = (self._kernel(row, True, max) for row in V.tolist())
+            return np.array([score if ok else _NEG_INF for ok, score in scored], dtype=float)
         cols = list(np.ascontiguousarray(V.T))
         ok, score = self._kernel(cols, np.ones(len(V), dtype=bool), np.maximum)
         return np.where(ok, score, _NEG_INF)
@@ -242,20 +258,24 @@ def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndar
     a dependent coordinate whose implied value is exactly 0, and a reading on
     e above the threshold makes that tree's log-likelihood -inf.
 
-    So ``detect_map`` and ``local_map_search`` may skip such trees, and
-    ``detect_cycle_descent`` never removes a support edge: its start tree
-    (``feasible_tree``, whose zero tolerance is lower) holds every one, and a
-    -inf candidate never beats the current likelihood.
+    So ``detect_map`` and a HypothesisBank may skip such trees, scoring them
+    -inf.  Cycle descent never leaves the trees holding the support: its
+    start tree (``feasible_tree``, whose zero tolerance is lower) holds every
+    support edge, and a -inf candidate never beats the current likelihood.
     """
-    if len(observation) != len(placement.edge_ids):  # the error relaxed_flow_solution raises
-        raise InvalidPlacementError("one observation per sensor required")
-    scale = max(
-        1.0,
-        2.0 * float(np.sum(np.abs(model.means))),
-        float(np.max(np.abs(observation), initial=0.0)),
+    return frozenset(
+        eid for eid, held in zip(placement.edge_ids, _support_mask(placement, model, observation)) if held
     )
-    threshold = 1e-9 * scale
-    return frozenset(eid for eid, v in zip(placement.edge_ids, observation) if abs(v) > threshold)
+
+
+def _support_mask(placement: Placement, model: LoadModel, readings: np.ndarray) -> np.ndarray:
+    """True where a reading is a support reading by ``_sensor_support``'s
+    threshold; ``readings`` is one observation or a block of them, one per row."""
+    if np.shape(readings)[-1] != len(placement.edge_ids):  # the error relaxed_flow_solution raises
+        raise InvalidPlacementError("one observation per sensor required")
+    size = np.abs(readings)
+    floor = max(1.0, 2.0 * float(np.sum(np.abs(model.means))))
+    return size > 1e-9 * np.maximum(floor, np.max(size, axis=-1, initial=0.0, keepdims=True))
 
 
 def log_likelihood(
@@ -555,47 +575,22 @@ def detect_cycle_descent(
     Exchanges never remove a ``required_edges`` member, so a search seeded
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
-    Exchanges never remove a sensor-support edge either, which changes
-    nothing; see ``_sensor_support`` for why.
+    Trees lacking a sensor-support edge are never built (see
+    ``_sensor_support``), and no tree is enumerated: the walk is
+    ``_descent_walk`` on a one-row HypothesisBank, as in the sweep.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    required = frozenset(required_edges)
-    support = _sensor_support(placement, model, observation)
-    mu = max(circuit_rank(graph), 1)
+    bank = HypothesisBank(cache, required_edges, readings=observation[None])
     if max_sweeps is None:
-        max_sweeps = 100 * mu
-    tree = feasible_tree(graph, observation, placement, required_edges=required)
-    cur_ll = cache.loglik(tree, observation)
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        sweeps += 1
-        improved = False
-        for slot in range(mu):
-            basis = cache.basis(tree)
-            if slot >= len(basis.generators):
-                break
-            gen = basis.generators[slot]
-            cyc = basis.cycles[slot]
-            best_ll = cur_ll
-            best_tree = None
-            for out in sorted(cyc.edges - {gen} - required - support):
-                cand = SpanningTree((tree.edge_ids - {out}) | {gen})
-                ll = cache.loglik(cand, observation)
-                if ll > best_ll:
-                    best_ll, best_tree = ll, cand
-            if best_tree is not None:
-                tree, cur_ll = best_tree, best_ll
-                improved = True
-        if not improved:
-            converged = True
-            break
+        max_sweeps = 100 * bank.mu
+    start = bank.number(feasible_tree(graph, observation, placement, required_edges=bank.required))
+    tree, ll, sweeps, converged = _descent_walk(bank, np.zeros(1, dtype=np.intp), [start], max_sweeps)
     return DetectionResult(
-        tree=tree,
-        log_likelihood=cur_ll,
+        tree=bank.trees[tree[0]],
+        log_likelihood=float(ll[0]),
         method="cycledescent",
-        iterations=sweeps,
-        converged=converged,
+        iterations=int(sweeps[0]),
+        converged=bool(converged[0]),
     )
 
 
@@ -618,31 +613,284 @@ def local_map_search(
     lies on no other basis cycle.  Neighborhood size is at most the sum of
     (cycle length - 1) over the basis, and ``iterations`` counts it in full;
     the seed and candidates lacking a sensor-support edge are not scored,
-    since they would score -inf (see ``_sensor_support``).
+    since they would score -inf (see ``_sensor_support``).  The search is
+    ``_local_walk`` on a one-row HypothesisBank, as in the sweep.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    required = frozenset(required_edges)
-    support = _sensor_support(placement, model, observation)
-    basis = cache.basis(seed_tree)
-    candidates: list[SpanningTree] = []
-    for k, (gen, cyc) in enumerate(zip(basis.generators, basis.cycles)):
-        others = set().union(*(c.edges for j, c in enumerate(basis.cycles) if j != k))
-        for out in sorted(cyc.edges - {gen} - required - others):
-            candidates.append(SpanningTree((seed_tree.edge_ids - {out}) | {gen}))
-    best_tree = seed_tree
-    best_ll = cache.loglik(seed_tree, observation) if support <= seed_tree.edge_ids else _NEG_INF
-    for cand in candidates:
-        if not support <= cand.edge_ids:
-            continue
-        ll = cache.loglik(cand, observation)
-        if ll > best_ll:
-            best_tree, best_ll = cand, ll
+    bank = HypothesisBank(cache, required_edges, readings=observation[None])
+    tree, ll, size = _local_walk(bank, np.zeros(1, dtype=np.intp), [bank.number(seed_tree)])
     return DetectionResult(
-        tree=best_tree,
-        log_likelihood=best_ll,
+        tree=bank.trees[tree[0]],
+        log_likelihood=float(ll[0]),
         method="local",
-        iterations=1 + len(candidates),
+        iterations=int(size[0]),
     )
+
+
+# -- hypothesis bank ------------------------------------------------------------------
+
+
+class HypothesisBank:
+    """Numbered trees of one problem, their neighbours and their scores on a
+    block of readings, one row per observation.
+
+    A sweep group builds one bank from its HypothesisCache and hypothesis
+    list, so tree j is hypothesis j, and loads each run of cells in turn.  A
+    per-call detector builds one with no list and one row; trees are then
+    numbered as its walk meets them, and nothing is enumerated.
+
+    Per tree the bank keeps, as tree numbers and filled on first use, the
+    cycle-descent candidates of each basis slot in ``sorted(out)`` order and
+    the local-search neighbourhood (the tree first).  Per loaded row it keeps
+    the sensor support (``_support_mask``).  A tree's score column is filled
+    on first use, and only the rows whose support the tree holds are scored;
+    every other row scores -inf, which ``_sensor_support`` shows is exact.
+    Memory per loaded block is one float per (row, numbered tree).
+
+    Every per-tree table has one spare last entry, which number -1 reads: it
+    stands for no tree, scores -inf and has no neighbours.  In the neighbour
+    tables -2 marks an entry not yet filled and -1 pads; NaN marks a score
+    not yet filled.
+    """
+
+    def __init__(
+        self,
+        cache: HypothesisCache,
+        required_edges: Iterable[int] = (),
+        trees: Sequence[SpanningTree] = (),
+        readings: np.ndarray | None = None,
+    ):
+        self.cache = cache
+        self.required = frozenset(required_edges)
+        graph = cache.graph
+        # the circuit rank: a graph with a spanning tree is connected
+        self.mu = max(graph.n_edges - graph.n_vertices + 1, 1)
+        # a fundamental cycle has at most |V| edges, and the local-search
+        # exchanges of one basis take out distinct tree edges
+        self._width = max(graph.n_vertices - 1, 1)
+        self.trees: list[SpanningTree] = []
+        self._numbers: dict[frozenset, int] = {}
+        self._capacity = len(trees) or 64
+        self._descent: np.ndarray | None = None  # made on first use
+        self._local: np.ndarray | None = None
+        self._starts: dict[bytes, int] = {}
+        if readings is None:
+            readings = np.zeros((0, len(cache.placement.edge_ids)))
+        self.load(readings)
+        for tree in trees:
+            self.number(tree)
+        self.n_hypotheses = len(self.trees)
+
+    def _table(self, shape: tuple) -> np.ndarray:
+        table = np.full((self._capacity + 1,) + shape, -2, dtype=np.intp)
+        table[-1] = -1
+        return table
+
+    def number(self, tree: SpanningTree) -> int:
+        i = self._numbers.get(tree.edge_ids)
+        if i is None:
+            i = self._numbers[tree.edge_ids] = len(self.trees)
+            self.trees.append(tree)
+            if i == self._capacity:
+                self._reserve(2 * i)
+        return i
+
+    def _reserve(self, capacity: int) -> None:
+        def grown(a, fill):
+            out = np.full((capacity + 1,) + a.shape[1:], fill, dtype=a.dtype)
+            out[: self._capacity] = a[:-1]
+            out[-1] = a[-1]
+            return out
+
+        self._scores = grown(self._scores, np.nan)
+        if self._descent is not None:
+            self._descent = grown(self._descent, -2)
+        if self._local is not None:
+            self._local = grown(self._local, -2)
+        self._capacity = capacity
+
+    def load(self, readings: np.ndarray) -> None:
+        """Make ``readings`` (one row per observation) the block that is scored."""
+        self.readings = np.asarray(readings, dtype=float)
+        support = _support_mask(self.cache.placement, self.cache.model, self.readings)
+        if len(support) < _PYTHON_ROWS:  # Python sets: cheaper than numpy for a few rows
+            sensors = self.cache.placement.edge_ids
+            self._support = [frozenset(compress(sensors, row)) for row in support.tolist()]
+        else:
+            self._support = support
+        self._scores = None  # the last block's scores go before this block's are made
+        self._scores = np.full((self._capacity + 1, len(self.readings)), np.nan)
+        self._scores[-1] = _NEG_INF
+
+    def _fill(self, ids) -> None:
+        sensors = self.cache.placement.edge_ids
+        for i in ids:
+            tree = self.trees[i]
+            if isinstance(self._support, list):
+                holds = [support <= tree.edge_ids for support in self._support]
+                n_holding = sum(holds)
+            else:
+                lacking = [k for k, eid in enumerate(sensors) if eid not in tree.edge_ids]
+                holds = ~self._support[:, lacking].any(axis=1)
+                n_holding = np.count_nonzero(holds)
+            if n_holding == len(holds):
+                self._scores[i] = self.cache.gaussian(tree).logpdf_batch(self.readings)
+            else:
+                self._scores[i] = _NEG_INF
+                if n_holding:
+                    self._scores[i, holds] = self.cache.gaussian(tree).logpdf_batch(self.readings[holds])
+
+    def score(self, rows, ids) -> np.ndarray:
+        """Scores of trees ``ids`` on loaded rows ``rows``; ``rows`` broadcasts
+        to the shape of ``ids``."""
+        scores = self._scores[ids, rows]
+        missing = np.isnan(scores)
+        if missing.any():
+            self._fill(dict.fromkeys(ids[missing].tolist()))
+            scores = self._scores[ids, rows]
+        return scores
+
+    def table(self) -> np.ndarray:
+        """Hypotheses x rows: the score of every hypothesis on every loaded row."""
+        scores = self._scores[: self.n_hypotheses]
+        if len(self.readings):
+            self._fill(np.flatnonzero(np.isnan(scores[:, 0])).tolist())
+        return scores
+
+    def _exchanges(self, i: int, gen: int, outs) -> list[int]:
+        edges = self.trees[i].edge_ids
+        return [self.number(SpanningTree((edges - {out}) | {gen})) for out in sorted(outs)]
+
+    def descent_candidates(self, ids: np.ndarray, slot: int) -> np.ndarray:
+        """Per tree: its exchanges along basis cycle ``slot`` in ``sorted(out)``
+        order, padded with -1; none past the last basis cycle."""
+        if self._descent is None:
+            self._descent = self._table((self.mu, self._width))
+        cands = self._descent[ids, slot]
+        todo = cands[:, 0] == -2
+        if todo.any():
+            for i in dict.fromkeys(ids[todo].tolist()):
+                basis = self.cache.basis(self.trees[i])
+                row = self._descent[i, slot]
+                row[:] = -1
+                if slot < len(basis.generators):
+                    gen = basis.generators[slot]
+                    found = self._exchanges(i, gen, basis.cycles[slot].edges - {gen} - self.required)
+                    self._descent[i, slot, : len(found)] = found
+            cands = self._descent[ids, slot]
+        return cands
+
+    def local_candidates(self, ids: np.ndarray) -> np.ndarray:
+        """Per tree: the tree, then its local-search exchanges, padded with -1."""
+        if self._local is None:
+            self._local = self._table((self._width + 1,))
+        cands = self._local[ids]
+        todo = cands[:, 0] == -2
+        if todo.any():
+            for i in dict.fromkeys(ids[todo].tolist()):
+                basis = self.cache.basis(self.trees[i])
+                seen, shared = set(), set()  # shared: edges on more than one basis cycle
+                for cyc in basis.cycles:
+                    shared |= seen & cyc.edges
+                    seen |= cyc.edges
+                hood = [i]
+                for gen, cyc in zip(basis.generators, basis.cycles):
+                    hood += self._exchanges(i, gen, cyc.edges - {gen} - self.required - shared)
+                self._local[i] = -1
+                self._local[i, : len(hood)] = hood
+            cands = self._local[ids]
+        return cands
+
+    def starts(self) -> np.ndarray:
+        """Number of ``feasible_tree`` of each loaded row, -1 where it raises;
+        called once per zero/nonzero pattern, which alone decides its result."""
+        size = np.abs(self.readings)
+        tol = 1e-9 * np.maximum(1.0, np.max(size, axis=1, initial=0.0))  # feasible_tree's default
+        cache = self.cache
+        keys = [pattern.tobytes() for pattern in size > tol[:, None]]
+        for r, key in enumerate(keys):
+            if key not in self._starts:
+                try:
+                    tree = feasible_tree(
+                        cache.graph, self.readings[r], cache.placement, required_edges=self.required
+                    )
+                    self._starts[key] = self.number(tree)
+                except GridTreeError:
+                    self._starts[key] = -1
+        return np.array([self._starts[key] for key in keys], dtype=np.intp)
+
+    def detect(self, name: str, local_search: bool = False) -> np.ndarray:
+        """Number of the tree that detector ``name`` (then the local search, if
+        asked) gives each loaded row; -1 where the detector raises.  Detectors
+        without an entry in ``DETECTOR_BATCHES`` run row by row."""
+        batch = DETECTOR_BATCHES.get(name)
+        if batch is not None:
+            picks = batch(self)
+        else:
+            cache, detector = self.cache, DETECTORS[name]
+            picks = np.full(len(self.readings), -1, dtype=np.intp)
+            for r, obs in enumerate(self.readings):
+                try:
+                    result = detector(cache.graph, cache.placement, cache.model, obs, self.required, cache)
+                except GridTreeError:
+                    continue
+                picks[r] = self.number(result.tree)
+        if local_search:
+            rows = np.flatnonzero(picks >= 0)
+            picks[rows] = _local_walk(self, rows, picks[rows])[0]
+        return picks
+
+
+def _descent_walk(bank: HypothesisBank, rows, ids, max_sweeps: int):
+    """Cycle descent from trees ``ids`` on loaded rows ``rows``, all rows at once.
+
+    Per row it makes ``detect_cycle_descent``'s comparisons in its order: on
+    each basis slot of the current tree, the first candidate of highest score
+    replaces the tree if that score is strictly higher; a row stops after a
+    sweep that changed nothing (converged) or after ``max_sweeps`` sweeps.
+    Returns per row the tree number, its score, the sweeps made and whether
+    it converged.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    tree = np.array(ids, dtype=np.intp)
+    ll = bank.score(rows, tree)
+    sweeps = np.zeros(len(rows), dtype=np.intp)
+    converged = np.zeros(len(rows), dtype=bool)
+    live = np.arange(len(rows))  # rows still sweeping; cur and cur_ll hold their state
+    cur, cur_ll = tree, ll
+    for _ in range(max_sweeps):
+        if not len(live):
+            break
+        sweeps[live] += 1
+        at = np.arange(len(live))
+        on = rows[live, None]
+        improved = np.zeros(len(live), dtype=bool)
+        for slot in range(bank.mu):
+            cands = bank.descent_candidates(cur, slot)
+            scores = bank.score(on, cands)
+            best = np.argmax(scores, axis=1)
+            best_ll = scores[at, best]
+            up = best_ll > cur_ll
+            if up.any():
+                cur = np.where(up, cands[at, best], cur)
+                cur_ll = np.where(up, best_ll, cur_ll)
+                improved |= up
+        tree[live], ll[live] = cur, cur_ll
+        converged[live[~improved]] = True
+        live, cur, cur_ll = live[improved], cur[improved], cur_ll[improved]
+    return tree, ll, sweeps, converged
+
+
+def _local_walk(bank: HypothesisBank, rows, ids):
+    """``local_map_search`` from trees ``ids`` on loaded rows ``rows``: the first
+    of highest score among each tree and its neighbourhood, the tree first.
+    Returns per row the tree number, its score and the neighbourhood size."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cands = bank.local_candidates(np.asarray(ids, dtype=np.intp))
+    scores = bank.score(rows[:, None], cands)
+    best = np.argmax(scores, axis=1)
+    at = np.arange(len(rows))
+    return cands[at, best], scores[at, best], np.count_nonzero(cands >= 0, axis=1)
 
 
 # -- registry ----------------------------------------------------------------------
@@ -670,3 +918,41 @@ DETECTORS = {
     ),
 }
 DETECTOR_NAMES = tuple(DETECTORS)
+
+
+def _map_batch(bank: HypothesisBank) -> np.ndarray:
+    scores = bank.table()
+    top = scores.max(axis=0)
+    # the first hypothesis of highest score; argmax over a bool table, since
+    # argmax over axis 0 copies its input
+    best = np.argmax(scores == top, axis=0)
+    return np.where(top > _NEG_INF, best, -1)
+
+
+def _fmst_batch(bank: HypothesisBank) -> np.ndarray:
+    cache = bank.cache
+    picks = np.full(len(bank.readings), -1, dtype=np.intp)
+    try:
+        flows = relaxed_flow_solution(cache.graph, cache.placement, cache.model.means, bank.readings)
+    except GridTreeError:
+        return picks
+    for r, f in enumerate(np.abs(flows)):
+        try:
+            picks[r] = bank.number(max_weight_spanning_tree(cache.graph, f, bank.required))
+        except GridTreeError:
+            pass
+    return picks
+
+
+def _descent_batch(bank: HypothesisBank) -> np.ndarray:
+    picks = bank.starts()
+    rows = np.flatnonzero(picks >= 0)
+    picks[rows] = _descent_walk(bank, rows, picks[rows], 100 * bank.mu)[0]
+    return picks
+
+
+#: name -> callable(bank) giving, for every row loaded in the HypothesisBank,
+#: the number of the tree that ``DETECTORS[name]`` picks, or -1 where it
+#: raises.  ``fmst`` skips the chosen tree's log-likelihood, which no caller
+#: of a batch needs.
+DETECTOR_BATCHES = {"map": _map_batch, "fmst": _fmst_batch, "cycledescent": _descent_batch}

@@ -188,19 +188,26 @@ def relaxed_flow_solution(
     square (|V|-1) conservation system for the unmeasured edges.  The system
     is invertible exactly when the placement is valid; its support encodes
     the operating tree when the observation is consistent.
+
+    ``observation`` may also be a block, one row per observation, giving one
+    flow row each.  Every row is solved as its own one-column system, so a
+    row gets the same bits alone or in a block (a multi-column solve would
+    not).
     """
     s = np.asarray(observation, dtype=float)
-    if s.shape != (len(placement.edge_ids),):
+    if s.ndim not in (1, 2) or s.shape[-1] != len(placement.edge_ids):
         raise InvalidPlacementError("one observation per sensor required")
+    rows = s if s.ndim == 2 else s[None]
 
-    def rhs(Bm):  # consumption at the non-root vertices, less the measured flows
-        return np.delete(consumption_vector(graph, loads), graph.root_index) - Bm @ s
+    def rhs(Bm):  # per row: consumption at the non-root vertices, less the measured flows
+        y = np.delete(consumption_vector(graph, loads), graph.root_index)
+        return y[:, None] - Bm @ rows[:, :, None]
 
     measured, free, f_free = _solve_unmeasured(graph, placement, rhs)
-    f = np.zeros(graph.n_edges)
-    f[free] = f_free
-    f[measured] = s
-    return f
+    f = np.zeros((len(rows), graph.n_edges))
+    f[:, free] = f_free[:, :, 0]
+    f[:, measured] = rows
+    return f if s.ndim == 2 else f[0]
 
 
 def flow_residual(graph: Graph, flows: Sequence[float], loads: Sequence[float]) -> float:

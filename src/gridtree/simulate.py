@@ -2,10 +2,21 @@
 sweeps over noise levels, and placement ranking by mean/max error.
 
 Unit of work: one (placement, sigma) group.  A group builds one
-HypothesisCache, shares it across all its true-tree cells and detectors, and
-drops it when the group ends.  With several workers, the pool is handed
-groups; only when there are fewer groups than workers is each group split
-into contiguous runs of true trees, one cache per run.
+HypothesisCache and one HypothesisBank over it, shares them across all its
+true-tree cells and detectors, and drops them when the group ends.  With
+several workers, the pool is handed groups; only when there are fewer
+groups than workers is each group split into contiguous runs of true trees,
+one cache and bank per run.
+
+The bank scores each cell once.  Runs of consecutive cells are loaded into
+it together, one row per trial, up to ``_LOAD_ROWS`` rows, so a load holds
+at most max(trials, _LOAD_ROWS) x hypotheses scores.  A hypothesis's score
+column is filled on first use, and only for the rows whose sensor support
+it holds; the others are -inf, which ``detect._sensor_support`` shows is
+exact.  ``map``, ``fmst`` and ``cycledescent`` run as batch forms over the
+loaded rows (``detect.DETECTOR_BATCHES``), as does the local search; the
+other detectors run row by row through ``detect.DETECTORS``.  Every miss
+count equals the one the per-call detectors give.
 
 Reproducibility contract: every random draw comes from a generator seeded by
 (base seed, placement index, sigma index, tree index), so results are
@@ -23,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detect import DETECTOR_NAMES, DETECTORS, HypothesisCache, local_map_search
-from .errors import GridTreeError, ModelError
+from .detect import DETECTOR_NAMES, HypothesisBank, HypothesisCache
+from .errors import ModelError
 from .flows import LoadModel, observation_matrix, tree_edge_flows
 from .graph import Graph, enumerate_spanning_trees
 from .placement import Placement, PlacementFamily
@@ -227,65 +238,55 @@ def run_deterministic_sweep(
 # -- stochastic sweep ----------------------------------------------------------
 
 
-def _cell_misses(name, config, cache, trees, flows_mat, t_idx) -> int:
-    """Misses of one detector on one cell's readings (one row per trial)."""
-    if name == "map" and not config.local_search:
-        # batched evaluation: one log-density column per hypothesis
-        ll = np.empty((len(flows_mat), len(trees)))
-        for j, hyp in enumerate(trees):
-            ll[:, j] = cache.gaussian(hyp).logpdf_batch(flows_mat)
-        picks = np.argmax(ll, axis=1)
-        feasible = np.max(ll, axis=1) > float("-inf")
-        return int(np.sum((picks != t_idx) | ~feasible))
-    graph, placement, model = cache.graph, cache.placement, cache.model
-    detector = DETECTORS[name]
-    misses = 0
-    for obs in flows_mat:
-        try:
-            tree = detector(graph, placement, model, obs, config.restriction, cache).tree
-            if config.local_search:
-                tree = local_map_search(
-                    graph, placement, model, obs, tree,
-                    cache=cache, required_edges=config.restriction,
-                ).tree
-        except GridTreeError:
-            tree = None
-        if tree is None or tree.edge_ids != trees[t_idx].edge_ids:
-            misses += 1
-    return misses
+#: Cells are loaded into the bank together up to this many rows (trials), so
+#: sweeps with few trials per cell score many cells per numpy call, and a
+#: load holds at most max(trials, _LOAD_ROWS) x hypotheses scores.
+_LOAD_ROWS = 1000
 
 
 def _run_group(config, trees, task) -> list[SweepRow]:
     """Rows of one (placement, sigma) group, or of a contiguous run of its true
     trees: true trees in enumeration order, detectors in config order.
 
-    The HypothesisCache is built here and dropped on return, so each
-    hypothesis Gaussian is built at most once per task.  Cells are scored one
-    at a time, so at most one cell's trials x hypotheses block is held.
+    One HypothesisBank over the group's HypothesisCache is built here and
+    dropped on return, so each hypothesis Gaussian and cycle basis is built at
+    most once per task.  Runs of consecutive cells are loaded into the bank
+    in turn, one row per trial (see ``_LOAD_ROWS``).
     """
     p_idx, s_idx, t_indices = task
     placement, sigma = config.placements[p_idx], config.sigmas[s_idx]
     model = config.noise_model(sigma)
-    cache = HypothesisCache(config.graph, placement, model)
+    bank = HypothesisBank(HypothesisCache(config.graph, placement, model), config.restriction, trees)
     sd = model.stddevs
+    per_load = max(1, _LOAD_ROWS // config.trials)
+    t_indices = list(t_indices)
     rows = []
-    for t_idx in t_indices:
-        true_tree = trees[t_idx]
-        rng = np.random.default_rng((config.seed, p_idx, s_idx, t_idx))
-        X = model.means + sd * rng.standard_normal((config.trials, len(sd)))
-        # exact readings under the true tree for each trial
-        flows_mat = X @ observation_matrix(config.graph, true_tree, placement).T
-        for name in config.detectors:
-            rows.append(
-                SweepRow(
-                    placement=placement.label(),
-                    detector=name + ("+local" if config.local_search else ""),
-                    sigma=sigma,
-                    true_tree=true_tree.label(),
-                    trials=config.trials,
-                    misses=_cell_misses(name, config, cache, trees, flows_mat, t_idx),
+    for first in range(0, len(t_indices), per_load):
+        cells = t_indices[first : first + per_load]
+        readings = []
+        for t_idx in cells:
+            rng = np.random.default_rng((config.seed, p_idx, s_idx, t_idx))
+            X = model.means + sd * rng.standard_normal((config.trials, len(sd)))
+            # exact readings under the true tree, one row per trial
+            readings.append(X @ observation_matrix(config.graph, trees[t_idx], placement).T)
+        bank.load(np.vstack(readings))
+        truth = np.repeat(cells, config.trials)
+        misses = {
+            name: (bank.detect(name, config.local_search) != truth).reshape(len(cells), -1).sum(axis=1)
+            for name in config.detectors
+        }
+        for k, t_idx in enumerate(cells):
+            for name in config.detectors:
+                rows.append(
+                    SweepRow(
+                        placement=placement.label(),
+                        detector=name + ("+local" if config.local_search else ""),
+                        sigma=sigma,
+                        true_tree=trees[t_idx].label(),
+                        trials=config.trials,
+                        misses=int(misses[name][k]),
+                    )
                 )
-            )
     return rows
 
 
@@ -299,6 +300,8 @@ def run_stochastic_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorRep
     spreads the groups over processes (see the module docstring).  Output row
     order and contents are independent of the worker count.
     """
+    if workers < 1:
+        raise ModelError("workers must be >= 1")
     trees = list(enumerate_spanning_trees(config.graph, config.restriction))
     groups = [(p, s) for p in range(len(config.placements)) for s in range(len(config.sigmas))]
     # Fewer groups than workers: split each group's true trees into contiguous
@@ -307,7 +310,7 @@ def run_stochastic_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorRep
     bounds = [len(trees) * k // parts for k in range(parts + 1)]
     tasks = [(p, s, range(a, b)) for p, s in groups for a, b in zip(bounds, bounds[1:])]
     run_group = partial(_run_group, config, trees)
-    if workers <= 1:
+    if workers == 1:
         results = [run_group(t) for t in tasks]
     else:
         # imported here: the pool machinery costs every single-worker process memory

@@ -236,6 +236,36 @@ class TestSweepAndRanking:
         ])
         assert rc == 2
 
+    def test_sweep_sigma_with_sigma_grid_exits_1(self, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        ppath = tmp_path / "p.place"
+        ppath.write_text(format_placement(Placement((6, 7, 10, 12))))
+        out = tmp_path / "x.csv"
+        rc = main([
+            "sweep", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--sigma", "0.5", "--sigma-grid", "0.05",
+            "--trials", "2", "--require-tau", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--sigma-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, workers", [("sweep", "-4"), ("rank-placements", "0")])
+    def test_workers_below_one_exits_1(self, island_files, tmp_path, capsys, command, workers):
+        gpath, lpath = island_files
+        ppath = tmp_path / "p.place"
+        ppath.write_text(format_placement(Placement((6, 7, 10, 12))))
+        out = tmp_path / "x.csv"
+        where = ["--placement", str(ppath)] if command == "sweep" else []
+        rc = main([
+            command, "--graph", str(gpath), "--loads", str(lpath), *where,
+            "--sigma", "0.1", "--trials", "1", "--require-tau", "--workers", workers,
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_unknown_method_exits_1(self, island_files, tmp_path, capsys):
         gpath, lpath = island_files
         ppath = tmp_path / "p.place"

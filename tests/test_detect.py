@@ -33,7 +33,7 @@ from gridtree import (
     zero_flow_statistic,
     zero_flow_transform,
 )
-from gridtree.detect import HypothesisCache, ReducedGaussian
+from gridtree.detect import _PYTHON_ROWS, HypothesisCache, ReducedGaussian
 from conftest import lattice_graph, random_connected_graph
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
@@ -206,9 +206,13 @@ class TestFactorisationMatchesEigenvalueScan:
 
 class TestOneRowEqualsBatch:
     """``logpdf(row)`` and ``logpdf_batch(V)[i]`` are the same bits on every
-    row, -inf rows and rank-0 Gaussians included.  The rows are the exact
-    readings of every tree under one load draw, and the same readings with
-    one entry moved by about the consistency tolerance."""
+    row, -inf rows and rank-0 Gaussians included, both for batches scored as
+    numpy columns and for those under ``_PYTHON_ROWS`` rows, scored one row
+    at a time.  The rows are the exact readings of every tree under one load
+    draw, and the same readings with one entry moved by about the
+    consistency tolerance."""
+
+    SMALL = (0, 1, _PYTHON_ROWS - 1, _PYTHON_ROWS, _PYTHON_ROWS + 1)
 
     @staticmethod
     def _check(graph, trees, placement, model, rng, counts):
@@ -227,6 +231,11 @@ class TestOneRowEqualsBatch:
             assert one.tobytes() == batch.tobytes(), [
                 (float(a).hex(), float(b).hex()) for a, b in zip(one, batch) if a.tobytes() != b.tobytes()
             ]
+            for n in TestOneRowEqualsBatch.SMALL:
+                rows = rng.choice(len(V), size=n, replace=n > len(V))
+                small = rg.logpdf_batch(V[rows])
+                assert small.shape == (n,) and small.tobytes() == one[rows].tobytes()
+                counts["small_inf"] += int(np.isinf(small).sum())
             counts["rank0"] += rg.rank == 0
             counts["deficient"] += bool(rg.dep.size)
             counts["inf"] += int(np.isinf(batch).sum())
@@ -241,7 +250,7 @@ class TestOneRowEqualsBatch:
 
     def test_island_hypotheses(self, island, tau_trees, tau_placements):
         rng = np.random.default_rng(41)
-        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite"), 0)
+        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite", "small_inf"), 0)
         models = [island.load_model.with_stddev(sd) for sd in (0.05, 0.2, 1.0)]
         models.append(island.load_model.with_cv(5.0))
         for pl in tau_placements:
@@ -251,7 +260,7 @@ class TestOneRowEqualsBatch:
 
     def test_random_multigraph_hypotheses(self):
         rng = np.random.default_rng(43)
-        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite"), 0)
+        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite", "small_inf"), 0)
         for _ in range(60):
             g = random_connected_graph(rng)
             trees = list(enumerate_spanning_trees(g))[:12]
@@ -265,7 +274,7 @@ class TestOneRowEqualsBatch:
     def test_lattice_snapshots(self):
         rng = np.random.default_rng(47)
         g = lattice_graph(4)
-        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite"), 0)
+        counts = dict.fromkeys(("rank0", "deficient", "inf", "finite", "small_inf"), 0)
         for _ in range(12):
             trees = [max_weight_spanning_tree(g, rng.random(g.n_edges)) for _ in range(12)]
             pl = tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges)))
@@ -273,6 +282,31 @@ class TestOneRowEqualsBatch:
             model = LoadModel(g.load_vertices, rng.uniform(0.5, 1.5, n), np.full(n, 0.2**2))
             self._check(g, trees, pl, self._exact_loads(model, rng), rng, counts)
         assert min(counts.values()) > 0
+
+
+class TestSmallBatchCountsEachRowOnce:
+    """A batch under ``_PYTHON_ROWS`` rows runs the kernel once per row and
+    never ``logpdf``, so a tracer counting ``logpdf`` calls and
+    ``logpdf_batch`` rows counts each row once."""
+
+    @pytest.mark.parametrize("n", [1, _PYTHON_ROWS - 1, _PYTHON_ROWS, 3 * _PYTHON_ROWS])
+    def test_kernel_runs_per_row_below_the_crossover(self, island, tau_trees, monkeypatch, n):
+        pl = Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        cache = HypothesisCache(island.graph, pl, model)
+        rg = cache.gaussian(tau_trees[5])
+        V = np.array([hypothesis_flow(island.graph, t, pl, model.means) for t in tau_trees[:n]])
+        calls = {"logpdf": 0, "_kernel": 0}
+        for name in calls:
+            original = getattr(ReducedGaussian, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ReducedGaussian, name, counting)
+        assert len(rg.logpdf_batch(V)) == n
+        assert calls == {"logpdf": 0, "_kernel": n if n < _PYTHON_ROWS else 1}
 
 
 class TestCacheMustMatchProblem:

@@ -25,6 +25,8 @@ from gridtree import (
     tree_edge_flows,
 )
 from gridtree import NotASpanningTreeError, UnknownEdgeError, is_spanning_tree
+from gridtree import max_weight_spanning_tree, tree_to_placement
+from conftest import lattice_graph, random_connected_graph
 
 UNIT_LOADS = np.ones(4)
 
@@ -198,6 +200,44 @@ class TestRelaxedFlow:
                 f = relaxed_flow_solution(island.graph, pl, x, s)
                 cot = [e for e in range(island.graph.n_edges) if e not in tree.edge_ids]
                 assert np.max(np.abs(f[cot])) < 1e-9 * max(1.0, np.max(np.abs(x)))
+
+
+class TestBlockRelaxedFlow:
+    """A block of observations, one per row, gives each row the same bits as
+    solving it alone, so the sweep's one block solve per cell equals the
+    per-call ``detect_fmst`` solve."""
+
+    @staticmethod
+    def _check(graph, placement, rng, rows=12):
+        loads = rng.uniform(0.5, 1.5, len(graph.load_vertices))
+        S = rng.standard_normal((rows, len(placement.edge_ids))) * rng.uniform(0.1, 100.0)
+        block = relaxed_flow_solution(graph, placement, loads, S)
+        alone = np.array([relaxed_flow_solution(graph, placement, loads, s) for s in S])
+        assert block.shape == (rows, graph.n_edges)
+        assert block.tobytes() == alone.tobytes()
+
+    def test_island_placements(self, island):
+        rng = np.random.default_rng(61)
+        for pl in enumerate_valid_placements(island.graph, island.tau).placements:
+            self._check(island.graph, pl, rng)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lattices(self, n):
+        rng = np.random.default_rng(62 + n)
+        g = lattice_graph(n)
+        for _ in range(10):
+            self._check(g, tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges))), rng)
+
+    def test_random_multigraphs(self):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            g = random_connected_graph(rng)
+            self._check(g, tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges))), rng)
+
+    def test_wrong_width_rejected(self, island):
+        pl = Placement((6, 7, 10, 12))
+        with pytest.raises(InvalidPlacementError, match="one observation per sensor"):
+            relaxed_flow_solution(island.graph, pl, island.load_model.means, np.ones((3, 5)))
 
 
 class TestHypothesisFlowDistribution:

@@ -9,20 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtree import (
+    ExperimentConfig,
+    GridTreeError,
     LoadModel,
+    SpanningTree,
     apply_edge_exchange,
+    circuit_rank,
+    detect_cycle_descent,
+    detect_fmst,
     detect_map,
     detect_zero_flow_map,
     encode_edge_exchange,
     enumerate_spanning_trees,
+    feasible_tree,
     flow_residual,
     hypothesis_flow,
+    local_map_search,
     log_likelihood,
     max_weight_spanning_tree,
+    observation_matrix,
     relaxed_flow_solution,
+    run_stochastic_sweep,
     tree_edge_flows,
     tree_to_placement,
 )
+from gridtree.detect import _PYTHON_ROWS, HypothesisCache
 from conftest import random_connected_graph
 
 
@@ -71,3 +82,137 @@ def test_edge_exchange_round_trips(seed):
     for _ in range(4):
         a, b = (trees[int(i)] for i in rng.integers(len(trees), size=2))
         assert apply_edge_exchange(graph, encode_edge_exchange(graph, a, b)) == b
+
+
+def _problem(seed):
+    """A random connected multigraph with a minimal valid placement, forecast
+    means, and a random required forest (a few edges of a random tree)."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng)
+    placement = tree_to_placement(graph, max_weight_spanning_tree(graph, rng.random(graph.n_edges)))
+    means = rng.uniform(0.5, 1.5, len(graph.load_vertices))
+    forest = sorted(max_weight_spanning_tree(graph, rng.random(graph.n_edges)).edge_ids)
+    required = frozenset(forest[: int(rng.integers(0, 3))])
+    return rng, graph, placement, means, required
+
+
+def _per_call_tree(name, local, graph, placement, model, s, required, cache):
+    """The tree the per-call detector picks, or None where it raises."""
+    try:
+        if name == "map":
+            tree = detect_map(graph, placement, model, s, required, cache=cache).tree
+        elif name == "fmst":
+            tree = detect_fmst(graph, placement, model, s, required).tree
+        else:
+            tree = detect_cycle_descent(graph, placement, model, s, cache=cache, required_edges=required).tree
+        if local:
+            tree = local_map_search(graph, placement, model, s, tree, cache=cache, required_edges=required).tree
+    except GridTreeError:
+        return None
+    return tree
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sigma=st.floats(0.05, 0.5),
+    trials=st.sampled_from((3, _PYTHON_ROWS + 4)),
+)
+def test_sweep_cells_equal_the_per_call_detectors(seed, sigma, trials):
+    rng, graph, placement, means, required = _problem(seed)
+    model = LoadModel(graph.load_vertices, means, np.ones(len(means)))
+    trees = list(enumerate_spanning_trees(graph, required))
+    cells = rng.choice(len(trees), size=min(3, len(trees)), replace=False)
+    for local, names in ((False, ("map", "fmst", "cycledescent")), (True, ("map", "fmst"))):
+        config = ExperimentConfig(
+            graph=graph, load_model=model, placements=(placement,), sigmas=(sigma,),
+            trials=trials, detectors=names, seed=seed % 1000, restriction=required,
+            local_search=local,
+        )
+        rows = run_stochastic_sweep(config).rows
+        noise = config.noise_model(sigma)
+        cache = HypothesisCache(graph, placement, noise)
+        for t_idx in cells:
+            draw = np.random.default_rng((config.seed, 0, 0, int(t_idx)))
+            X = noise.means + noise.stddevs * draw.standard_normal((trials, len(means)))
+            readings = X @ observation_matrix(graph, trees[t_idx], placement).T
+            for k, name in enumerate(names):
+                picks = [
+                    _per_call_tree(name, local, graph, placement, noise, s, required, cache)
+                    for s in readings
+                ]
+                assert rows[t_idx * len(names) + k].misses == sum(p != trees[t_idx] for p in picks)
+
+
+def _reference_descent(graph, placement, model, s, required):
+    """Cycle descent as one loop over Python scores: the unpruned algorithm."""
+    cache = HypothesisCache(graph, placement, model)
+    mu = max(circuit_rank(graph), 1)
+    tree = feasible_tree(graph, s, placement, required_edges=required)
+    cur_ll = cache.loglik(tree, s)
+    sweeps, converged = 0, False
+    while sweeps < 100 * mu:
+        sweeps += 1
+        improved = False
+        for slot in range(mu):
+            basis = cache.basis(tree)
+            if slot >= len(basis.generators):
+                break
+            gen, cyc = basis.generators[slot], basis.cycles[slot]
+            best_ll, best_tree = cur_ll, None
+            for out in sorted(cyc.edges - {gen} - required):
+                cand = SpanningTree((tree.edge_ids - {out}) | {gen})
+                ll = cache.loglik(cand, s)
+                if ll > best_ll:
+                    best_ll, best_tree = ll, cand
+            if best_tree is not None:
+                tree, cur_ll, improved = best_tree, best_ll, True
+        if not improved:
+            converged = True
+            break
+    return tree, cur_ll, sweeps, converged
+
+
+def _reference_local(graph, placement, model, s, seed_tree, required):
+    """The local search as one loop over Python scores: the unpruned algorithm."""
+    cache = HypothesisCache(graph, placement, model)
+    basis = cache.basis(seed_tree)
+    best_tree, best_ll, size = seed_tree, cache.loglik(seed_tree, s), 1
+    for k, (gen, cyc) in enumerate(zip(basis.generators, basis.cycles)):
+        others = set().union(*(c.edges for j, c in enumerate(basis.cycles) if j != k))
+        for out in sorted(cyc.edges - {gen} - required - others):
+            cand = SpanningTree((seed_tree.edge_ids - {out}) | {gen})
+            ll = cache.loglik(cand, s)
+            size += 1
+            if ll > best_ll:
+                best_tree, best_ll = cand, ll
+    return best_tree, best_ll, size
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), sigma=st.floats(0.05, 0.5))
+def test_walks_equal_the_reference_loops(seed, sigma):
+    rng, graph, placement, means, required = _problem(seed)
+    # some loads modelled as exact, so that many trees, the start among them,
+    # score -inf and the walks meet ties at -inf
+    exact = rng.random(len(means)) < 0.4
+    model = LoadModel(graph.load_vertices, means, np.where(exact, 0.0, sigma**2))
+    true = max_weight_spanning_tree(graph, rng.random(graph.n_edges), required)
+    s = hypothesis_flow(graph, true, placement, means + sigma * rng.standard_normal(len(means)))
+    if rng.random() < 0.25:  # no tree matches exactly
+        s = s + 1e-6 * rng.standard_normal(len(s))
+    try:
+        want = _reference_descent(graph, placement, model, s, required)
+    except GridTreeError as exc:
+        want = type(exc)
+    try:
+        r = detect_cycle_descent(graph, placement, model, s, required_edges=required)
+        got = (r.tree, r.log_likelihood, r.iterations, r.converged)
+    except GridTreeError as exc:
+        got = type(exc)
+    assert got == want
+    seed_tree = max_weight_spanning_tree(graph, rng.random(graph.n_edges), required)
+    r = local_map_search(graph, placement, model, s, seed_tree, required_edges=required)
+    assert (r.tree, r.log_likelihood, r.iterations) == _reference_local(
+        graph, placement, model, s, seed_tree, required
+    )

@@ -1,6 +1,7 @@
-"""Exact sensor-support pruning in detect_map, detect_cycle_descent and
-local_map_search: a tree lacking an edge whose sensor reads above the
-threshold scores -inf, and skipping it changes no result field."""
+"""Exact sensor-support pruning in detect_map and the HypothesisBank behind
+detect_cycle_descent and local_map_search: a tree lacking an edge whose
+sensor reads above the threshold scores -inf, and skipping it changes no
+result field."""
 
 import numpy as np
 import pytest
@@ -140,10 +141,13 @@ class TestPruningChangesNoResult:
             restriction = frozenset() if n == 3 else frozenset(sorted(true.edge_ids)[4:])
             cases.append((pl, model, s, restriction))
         pruned = [self._run_all(graph, *case) for case in cases]
-        monkeypatch.setattr(gridtree.detect, "_sensor_support", lambda *args: frozenset())
+        assert all(_sensor_support(pl, model, s) for pl, model, s, _ in cases)
+        # no reading is a support reading: nothing is pruned anywhere
+        monkeypatch.setattr(
+            gridtree.detect, "_support_mask", lambda pl, model, s: np.zeros(np.shape(s), dtype=bool)
+        )
         unpruned = [self._run_all(graph, *case) for case in cases]
         assert pruned == unpruned
-        assert all(_sensor_support(pl, model, s) for pl, model, s, _ in cases)
 
 
 class TestPrunedTreesNotBuilt:

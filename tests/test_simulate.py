@@ -167,6 +167,25 @@ class TestStochasticSweep:
         report = run_stochastic_sweep(config)
         assert sum(r.misses for r in report.rows) > 0
 
+    def test_workers_below_one_rejected(self, island, tau_family):
+        config = ExperimentConfig(
+            graph=island.graph,
+            load_model=island.load_model,
+            placements=(tau_family.placements[0],),
+            sigmas=(0.1,),
+            trials=1,
+            restriction=island.tau,
+        )
+        for workers in (0, -4):
+            with pytest.raises(ModelError, match="workers"):
+                run_stochastic_sweep(config, workers=workers)
+        one = type(tau_family)(placements=tau_family.placements[:1], forbidden=tau_family.forbidden)
+        with pytest.raises(ModelError, match="workers"):
+            evaluate_placements(
+                island.graph, one, island.load_model, sigma=0.1, trials=1,
+                restriction=island.tau, workers=0,
+            )
+
     def test_unknown_detector_rejected(self, island, tau_family):
         with pytest.raises(ModelError):
             ExperimentConfig(
