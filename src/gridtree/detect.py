@@ -533,14 +533,13 @@ def feasible_tree(
     tree satisfies it and the observation is inconsistent.
     """
     s = np.asarray(observation, dtype=float)
-    if zero_tol is None:
-        zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(s), initial=0.0)))
+    pattern = _nonzero_pattern(s) if zero_tol is None else np.abs(s) > zero_tol
     required = frozenset(required_edges)
     weights = np.ones(graph.n_edges)
     nonzero, zero = [], []
     for k, eid in enumerate(placement.edge_ids):
         graph.check_edge(eid)
-        if abs(s[k]) > zero_tol:
+        if pattern[k]:
             weights[eid] = float(graph.n_edges)
             nonzero.append(eid)
         else:
@@ -556,6 +555,13 @@ def feasible_tree(
             "no spanning tree matches the observed zero/nonzero sensor pattern"
         )
     return tree
+
+
+def _nonzero_pattern(readings: np.ndarray) -> np.ndarray:
+    """``feasible_tree``'s default zero/nonzero pattern of each row of
+    readings: nonzero above ``1e-9 * max(1, max |s|)``."""
+    size = np.abs(readings)
+    return size > 1e-9 * np.maximum(1.0, np.max(size, axis=-1, initial=0.0, keepdims=True))
 
 
 def detect_cycle_descent(
@@ -575,15 +581,17 @@ def detect_cycle_descent(
     Exchanges never remove a ``required_edges`` member, so a search seeded
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
-    Trees lacking a sensor-support edge are never built (see
-    ``_sensor_support``), and no tree is enumerated: the walk is
-    ``_descent_walk`` on a one-row HypothesisBank, as in the sweep.
+    Exchanges never remove a sensor-support edge either, which changes
+    nothing; see ``_sensor_support`` for why.  No tree is enumerated: the
+    walk is ``_descent_walk`` on a one-row HypothesisBank, as in the sweep.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    bank = HypothesisBank(cache, required_edges, readings=observation[None])
+    required = frozenset(required_edges)
+    fixed = required | _sensor_support(placement, model, observation)
+    bank = HypothesisBank(cache, fixed, readings=observation[None])
     if max_sweeps is None:
         max_sweeps = 100 * bank.mu
-    start = bank.number(feasible_tree(graph, observation, placement, required_edges=bank.required))
+    start = bank.number(feasible_tree(graph, observation, placement, required_edges=required))
     tree, ll, sweeps, converged = _descent_walk(bank, np.zeros(1, dtype=np.intp), [start], max_sweeps)
     return DetectionResult(
         tree=bank.trees[tree[0]],
@@ -638,6 +646,8 @@ class HypothesisBank:
     list, so tree j is hypothesis j, and loads each run of cells in turn.  A
     per-call detector builds one with no list and one row; trees are then
     numbered as its walk meets them, and nothing is enumerated.
+    ``required_edges`` are the edges no exchange removes, and the restriction
+    the starts and the row-by-row detectors get.
 
     Per tree the bank keeps, as tree numbers and filled on first use, the
     cycle-descent candidates of each basis slot in ``sorted(out)`` order and
@@ -645,6 +655,9 @@ class HypothesisBank:
     the sensor support (``_support_mask``).  A tree's score column is filled
     on first use, and only the rows whose support the tree holds are scored;
     every other row scores -inf, which ``_sensor_support`` shows is exact.
+    A tree holding the support edges of every row scores every row, and one
+    lacking an edge that every row's support has scores none; only the trees
+    between the two read the mask, so a one-row load never does.
     Memory per loaded block is one float per (row, numbered tree).
 
     Every per-tree table has one spare last entry, which number -1 reads: it
@@ -712,12 +725,11 @@ class HypothesisBank:
     def load(self, readings: np.ndarray) -> None:
         """Make ``readings`` (one row per observation) the block that is scored."""
         self.readings = np.asarray(readings, dtype=float)
-        support = _support_mask(self.cache.placement, self.cache.model, self.readings)
-        if len(support) < _PYTHON_ROWS:  # Python sets: cheaper than numpy for a few rows
-            sensors = self.cache.placement.edge_ids
-            self._support = [frozenset(compress(sensors, row)) for row in support.tolist()]
-        else:
-            self._support = support
+        self._support = _support_mask(self.cache.placement, self.cache.model, self.readings)
+        # the edges in some row's support and in every row's support
+        sensors = self.cache.placement.edge_ids
+        self._needed_by_some = frozenset(compress(sensors, self._support.any(axis=0)))
+        self._needed_by_all = frozenset(compress(sensors, self._support.all(axis=0)))
         self._scores = None  # the last block's scores go before this block's are made
         self._scores = np.full((self._capacity + 1, len(self.readings)), np.nan)
         self._scores[-1] = _NEG_INF
@@ -726,18 +738,14 @@ class HypothesisBank:
         sensors = self.cache.placement.edge_ids
         for i in ids:
             tree = self.trees[i]
-            if isinstance(self._support, list):
-                holds = [support <= tree.edge_ids for support in self._support]
-                n_holding = sum(holds)
-            else:
+            if self._needed_by_some <= tree.edge_ids:  # holds every row's support
+                self._scores[i] = self.cache.gaussian(tree).logpdf_batch(self.readings)
+                continue
+            self._scores[i] = _NEG_INF
+            if self._needed_by_all <= tree.edge_ids:  # some rows may be held: ask the mask
                 lacking = [k for k, eid in enumerate(sensors) if eid not in tree.edge_ids]
                 holds = ~self._support[:, lacking].any(axis=1)
-                n_holding = np.count_nonzero(holds)
-            if n_holding == len(holds):
-                self._scores[i] = self.cache.gaussian(tree).logpdf_batch(self.readings)
-            else:
-                self._scores[i] = _NEG_INF
-                if n_holding:
+                if holds.any():
                     self._scores[i, holds] = self.cache.gaussian(tree).logpdf_batch(self.readings[holds])
 
     def score(self, rows, ids) -> np.ndarray:
@@ -771,12 +779,11 @@ class HypothesisBank:
         if todo.any():
             for i in dict.fromkeys(ids[todo].tolist()):
                 basis = self.cache.basis(self.trees[i])
-                row = self._descent[i, slot]
-                row[:] = -1
+                found = []
                 if slot < len(basis.generators):
                     gen = basis.generators[slot]
                     found = self._exchanges(i, gen, basis.cycles[slot].edges - {gen} - self.required)
-                    self._descent[i, slot, : len(found)] = found
+                self._descent[i, slot] = found + [-1] * (self._width - len(found))
             cands = self._descent[ids, slot]
         return cands
 
@@ -796,18 +803,15 @@ class HypothesisBank:
                 hood = [i]
                 for gen, cyc in zip(basis.generators, basis.cycles):
                     hood += self._exchanges(i, gen, cyc.edges - {gen} - self.required - shared)
-                self._local[i] = -1
-                self._local[i, : len(hood)] = hood
+                self._local[i] = hood + [-1] * (self._width + 1 - len(hood))
             cands = self._local[ids]
         return cands
 
     def starts(self) -> np.ndarray:
         """Number of ``feasible_tree`` of each loaded row, -1 where it raises;
         called once per zero/nonzero pattern, which alone decides its result."""
-        size = np.abs(self.readings)
-        tol = 1e-9 * np.maximum(1.0, np.max(size, axis=1, initial=0.0))  # feasible_tree's default
         cache = self.cache
-        keys = [pattern.tobytes() for pattern in size > tol[:, None]]
+        keys = [pattern.tobytes() for pattern in _nonzero_pattern(self.readings)]
         for r, key in enumerate(keys):
             if key not in self._starts:
                 try:
@@ -868,7 +872,7 @@ def _descent_walk(bank: HypothesisBank, rows, ids, max_sweeps: int):
         for slot in range(bank.mu):
             cands = bank.descent_candidates(cur, slot)
             scores = bank.score(on, cands)
-            best = np.argmax(scores, axis=1)
+            best = scores.argmax(axis=1)
             best_ll = scores[at, best]
             up = best_ll > cur_ll
             if up.any():
@@ -888,7 +892,7 @@ def _local_walk(bank: HypothesisBank, rows, ids):
     rows = np.asarray(rows, dtype=np.intp)
     cands = bank.local_candidates(np.asarray(ids, dtype=np.intp))
     scores = bank.score(rows[:, None], cands)
-    best = np.argmax(scores, axis=1)
+    best = scores.argmax(axis=1)
     at = np.arange(len(rows))
     return cands[at, best], scores[at, best], np.count_nonzero(cands >= 0, axis=1)
 

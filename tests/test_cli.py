@@ -250,7 +250,9 @@ class TestSweepAndRanking:
         assert "--sigma-grid" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, workers", [("sweep", "-4"), ("rank-placements", "0")])
+    @pytest.mark.parametrize(
+        "command, workers", [("sweep", "-4"), ("rank-placements", "0"), ("sweep", "abc")]
+    )
     def test_workers_below_one_exits_1(self, island_files, tmp_path, capsys, command, workers):
         gpath, lpath = island_files
         ppath = tmp_path / "p.place"
@@ -263,7 +265,8 @@ class TestSweepAndRanking:
             "--out", str(out),
         ])
         assert rc == 1
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--workers" in err and "_workers" not in err
         assert not out.exists()
 
     def test_sweep_unknown_method_exits_1(self, island_files, tmp_path, capsys):
