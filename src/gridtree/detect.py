@@ -107,7 +107,7 @@ class ReducedGaussian:
         mean = np.asarray(mean, dtype=float)
         m = len(mean)
         A = np.array(cov, dtype=float)  # residual of the elimination; cov stays as given
-        guard = 1e-12 * float(np.trace(A))
+        guard = 1e-12 * float(A.trace())
         L = np.zeros((m, m))
         keep: list[int] = []
         for j in range(m):
@@ -125,7 +125,7 @@ class ReducedGaussian:
         self.tol_scale = max([1.0, *map(abs, mean_list)])
         # with nothing kept (zero covariance) these are empty arrays of the right shapes
         L_keep = L[self.keep]
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(L_keep))))
+        self.logdet = 2.0 * float(np.log(L_keep.diagonal()).sum())
         whiten = np.linalg.inv(L_keep)  # lower triangular, as L_keep is
         dep_coef = L[self.dep] @ whiten
         dep_offset = mean[self.dep] - dep_coef @ mean[self.keep]
@@ -274,8 +274,8 @@ def _support_mask(placement: Placement, model: LoadModel, readings: np.ndarray) 
     if np.shape(readings)[-1] != len(placement.edge_ids):  # the error relaxed_flow_solution raises
         raise InvalidPlacementError("one observation per sensor required")
     size = np.abs(readings)
-    floor = max(1.0, 2.0 * float(np.sum(np.abs(model.means))))
-    return size > 1e-9 * np.maximum(floor, np.max(size, axis=-1, initial=0.0, keepdims=True))
+    floor = max(1.0, 2.0 * float(np.abs(model.means).sum()))
+    return size > 1e-9 * np.maximum(floor, size.max(axis=-1, initial=0.0, keepdims=True))
 
 
 def log_likelihood(
@@ -894,7 +894,7 @@ def _local_walk(bank: HypothesisBank, rows, ids):
     scores = bank.score(rows[:, None], cands)
     best = scores.argmax(axis=1)
     at = np.arange(len(rows))
-    return cands[at, best], scores[at, best], np.count_nonzero(cands >= 0, axis=1)
+    return cands[at, best], scores[at, best], (cands >= 0).sum(axis=1)
 
 
 # -- registry ----------------------------------------------------------------------
