@@ -207,10 +207,13 @@ def _sigma_list(args) -> tuple[float, ...]:
     if args.sigma_grid and args.sigma is not None:
         raise _UsageError("give one of --sigma / --sigma-grid, not both")
     if args.sigma_grid:
-        return tuple(float(tok) for tok in args.sigma_grid.split(","))
+        try:
+            return tuple(float(tok) for tok in args.sigma_grid.split(","))
+        except ValueError:
+            raise _UsageError(f"--sigma-grid needs comma-separated numbers: {args.sigma_grid!r}") from None
     if args.sigma is not None:
         return (args.sigma,)
-    raise GridTreeError("one of --sigma / --sigma-grid is required")
+    raise _UsageError("one of --sigma / --sigma-grid is required")
 
 
 def _cmd_sweep(args) -> int:
@@ -240,9 +243,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rank_placements(args) -> int:
-    graph, model = _load_graph_and_model(args)
     if (args.sigma is None) == (args.cv is None):
-        raise GridTreeError("exactly one of --sigma / --cv is required")
+        raise _UsageError("exactly one of --sigma / --cv is required")
+    graph, model = _load_graph_and_model(args)
     sigma = args.sigma if args.sigma is not None else args.cv
     restriction = _restriction(graph, args)
     family = enumerate_valid_placements(graph, restriction)

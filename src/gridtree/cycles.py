@@ -91,9 +91,7 @@ class FundamentalCycleBasis:
 
 def fundamental_cycle_basis(graph: Graph, tree: SpanningTree) -> FundamentalCycleBasis:
     """Basis of circuit_rank(G) cycles, one per co-tree edge in ascending id order."""
-    if not is_spanning_tree(graph, tree.edge_ids):
-        raise NotASpanningTreeError("fundamental cycles need a spanning tree")
-    parent, depth, _ = root_tree(graph, tree)
+    parent, depth, _ = root_tree(graph, tree)  # raises unless tree is a spanning tree
     generators = tree.cotree(graph)
     cycles = []
     for g in generators:

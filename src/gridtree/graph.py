@@ -206,11 +206,9 @@ def build_incidence(graph: Graph) -> np.ndarray:
     return B
 
 
-def connected_component_count(graph: Graph, edge_ids: Iterable[int] | None = None) -> int:
+def connected_component_count(graph: Graph) -> int:
     uf = UnionFind(graph.n_vertices)
-    ids = range(graph.n_edges) if edge_ids is None else edge_ids
-    for eid in ids:
-        u, v = graph.edges[eid]
+    for u, v in graph.edges:
         uf.union(graph.vertex_index(u), graph.vertex_index(v))
     return uf.n_components
 

@@ -9,6 +9,17 @@ on the island fixture (placement 6 7 10 12, ``--require-tau``, sigma 0.05,
 0.2 and 0.5) for every detector in ``DETECTOR_NAMES``, with and without
 ``--local-search``, at 3 and 40 trials per cell: below and above the
 batch size at which scoring switches from Python floats to numpy columns.
+
+``detect_calls.txt`` holds one line per per-call result of ``detect_map``,
+``detect_zero_flow_map``, ``detect_fmst``, ``detect_cycle_descent`` and
+fmst + ``local_map_search``: the tree, ``float.hex`` of the
+log-likelihood, ``iterations``, ``pruned`` and ``converged``, or the error
+class.  The inputs are seeded island observations (placement 6 7 10 12,
+the root edges required, sigma 0.2) and 3x3 and 4x4 lattice snapshots made
+by ``test_prune._snapshot``; every third reading set carries 1e-6 noise.
+On the 4x4 lattice MAP and the zero-flow test search the trees holding all
+but four edges of the true tree, as ``test_prune`` does.
+
 Two checkouts can then be compared file by file with ``cmp``.  The file
 name keeps it out of pytest collection.
 """
@@ -17,17 +28,28 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from gridtree import (
+    GridTreeError,
     Placement,
     build_island_fixture,
+    detect_cycle_descent,
+    detect_fmst,
+    detect_map,
+    detect_zero_flow_map,
     enumerate_spanning_trees,
     enumerate_valid_placements,
+    hypothesis_flow,
+    local_map_search,
 )
 from gridtree.cli import main as cli_main
 from gridtree.detect import DETECTOR_NAMES
 from gridtree.fileio import format_placement
 
 import test_acceptance as acc
+from conftest import lattice_graph
+from test_prune import _snapshot
 
 
 def _sweeps(out: Path) -> None:
@@ -48,6 +70,58 @@ def _sweeps(out: Path) -> None:
                     if rc != 0:
                         raise SystemExit(f"sweep for {path.name} exited {rc}")
                     print(f"wrote {path}")
+
+
+def _calls(graph, pl, model, s, restriction, required) -> list[str]:
+    """One line per detector: its result fields, or its error class."""
+
+    def local():
+        seed = detect_fmst(graph, pl, model, s, required).tree
+        return local_map_search(graph, pl, model, s, seed, required_edges=required)
+
+    detectors = {
+        "map": lambda: detect_map(graph, pl, model, s, restriction),
+        "zeroflow": lambda: detect_zero_flow_map(graph, pl, model, s, restriction),
+        "fmst": lambda: detect_fmst(graph, pl, model, s, required),
+        "cycledescent": lambda: detect_cycle_descent(graph, pl, model, s, required_edges=required),
+        "fmst+local": local,
+    }
+    lines = []
+    for name, detector in detectors.items():
+        try:
+            r = detector()
+        except GridTreeError as exc:
+            lines.append(f"{name},{type(exc).__name__}")
+            continue
+        fields = (r.tree.label(), float.hex(r.log_likelihood), r.iterations, r.pruned, r.converged)
+        lines.append(",".join(map(str, (name, *fields))))
+    return lines
+
+
+def _detect_calls(island, trees) -> str:
+    lines = []
+    rng = np.random.default_rng(11)
+    pl = Placement((6, 7, 10, 12))
+    model = island.load_model.with_stddev(0.2)
+    for k in range(30):
+        true = trees[rng.integers(len(trees))]
+        loads = model.means + 0.2 * rng.standard_normal(len(model.means))
+        s = hypothesis_flow(island.graph, true, pl, loads)
+        if k % 3 == 2:
+            s = s + 1e-6 * rng.standard_normal(len(s))
+        calls = _calls(island.graph, pl, model, s, island.tau, island.tau)
+        lines += [f"island {k} {line}" for line in calls]
+    for n, count in ((3, 30), (4, 12)):
+        graph = lattice_graph(n)
+        rng = np.random.default_rng(50 + n)
+        for k in range(count):
+            pl, model, s, true = _snapshot(graph, rng)
+            if k % 3 == 2:
+                s = s + 1e-6 * rng.standard_normal(len(s))
+            restriction = frozenset() if n == 3 else frozenset(sorted(true.edge_ids)[4:])
+            calls = _calls(graph, pl, model, s, restriction, ())
+            lines += [f"lattice{n} {k} {line}" for line in calls]
+    return "".join(line + "\n" for line in lines)
 
 
 def main(argv: list[str]) -> int:
@@ -72,6 +146,8 @@ def main(argv: list[str]) -> int:
     for name, producer in producers.items():
         (out / f"{name}.csv").write_text(producer())
         print(f"wrote {out / name}.csv")
+    (out / "detect_calls.txt").write_text(_detect_calls(island, trees))
+    print(f"wrote {out / 'detect_calls.txt'}")
     _sweeps(out)
     return 0
 

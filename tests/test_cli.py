@@ -234,7 +234,23 @@ class TestSweepAndRanking:
             "--placement", str(ppath), "--trials", "2",
             "--out", str(tmp_path / "x.csv"),
         ])
-        assert rc == 2
+        assert rc == 1
+        assert "--sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["abc", "0.1,"])
+    def test_sweep_unparseable_sigma_grid_exits_1(self, island_files, tmp_path, capsys, grid):
+        gpath, lpath = island_files
+        ppath = tmp_path / "p.place"
+        ppath.write_text(format_placement(Placement((6, 7, 10, 12))))
+        out = tmp_path / "x.csv"
+        rc = main([
+            "sweep", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--sigma-grid", grid, "--trials", "2",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--sigma-grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_sigma_with_sigma_grid_exits_1(self, island_files, tmp_path, capsys):
         gpath, lpath = island_files
@@ -296,13 +312,16 @@ class TestSweepAndRanking:
         assert lines[0] == "placement,g1,g2,rank"
         assert len(lines) == 45
 
-    def test_rank_placements_needs_exactly_one_noise_flag(self, island_files, tmp_path):
+    def test_rank_placements_needs_exactly_one_noise_flag(self, island_files, tmp_path, capsys):
         gpath, lpath = island_files
-        rc = main([
-            "rank-placements", "--graph", str(gpath), "--loads", str(lpath),
-            "--trials", "1", "--out", str(tmp_path / "r.csv"),
-        ])
-        assert rc == 2
+        for noise in ([], ["--sigma", "0.1", "--cv", "5"]):
+            rc = main([
+                "rank-placements", "--graph", str(gpath), "--loads", str(lpath),
+                "--trials", "1", *noise, "--out", str(tmp_path / "r.csv"),
+            ])
+            assert rc == 1
+            assert "--sigma / --cv" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_console_module_smoke(tmp_path):

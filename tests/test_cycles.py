@@ -6,6 +6,7 @@ from gridtree import (
     NotASpanningTreeError,
     Placement,
     SpanningTree,
+    UnknownEdgeError,
     apply_edge_exchange,
     circuit_rank,
     count_spanning_trees,
@@ -93,8 +94,17 @@ class TestFundamentalCycleBasis:
                         assert gen not in cyc.edges
 
     def test_rejects_non_spanning_tree(self, island):
+        g = island.graph
         with pytest.raises(NotASpanningTreeError):
-            fundamental_cycle_basis(island.graph, SpanningTree(frozenset({0, 1, 2})))
+            fundamental_cycle_basis(g, SpanningTree(frozenset({0, 1, 2})))
+        tree = bench_tree(g)
+        basis = fundamental_cycle_basis(g, tree)
+        gen, cycle = basis.generators[0], basis.cycles[0]
+        off = min(tree.edge_ids - cycle.edges)  # a tree edge off the first basis cycle
+        with pytest.raises(NotASpanningTreeError):  # |V|-1 edges holding a cycle
+            fundamental_cycle_basis(g, SpanningTree(tree.edge_ids - {off} | {gen}))
+        with pytest.raises(UnknownEdgeError):
+            fundamental_cycle_basis(g, SpanningTree(tree.edge_ids - {off} | {99}))
 
 
 class TestCycleXor:

@@ -33,7 +33,7 @@ from gridtree import (
     zero_flow_statistic,
     zero_flow_transform,
 )
-from gridtree.detect import _PYTHON_ROWS, HypothesisCache, ReducedGaussian
+from gridtree.detect import _PYTHON_ROWS, HypothesisCache, ReducedGaussian, _first_best
 from conftest import lattice_graph, random_connected_graph
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
@@ -514,6 +514,38 @@ class TestDetectMap:
         with pytest.raises(NoFeasibleHypothesisError):
             detect_map(island.graph, pl, island.load_model, s + 0.5, restriction=island.tau)
 
+    def test_given_hypotheses_pick_the_first_best_in_list_order(self, island, tau_trees):
+        # one sensor and exact loads: two trees explain the reading exactly
+        # (a rank-0 Gaussian scores 0.0), every other tree scores -inf
+        pl = Placement((6,))
+        model = island.load_model
+        s = hypothesis_flow(island.graph, tau_trees[7], pl, model.means)
+        cache = HypothesisCache(island.graph, pl, model)
+        tied = [t for t in tau_trees if cache.loglik(t, s) == 0.0]
+        assert len(tied) == 2
+        hypotheses = tau_trees[::-1] + tau_trees[:8]  # out of order, eight trees repeated
+        assert tied[0] in tau_trees[:8]
+        r = detect_map(island.graph, pl, model, s, hypotheses=hypotheses, cache=cache)
+        assert r.tree == tied[1]  # the later tree in enumeration order comes first in the list
+        assert r.log_likelihood == 0.0
+        assert r.iterations == 52
+        assert r.pruned == 52 - 3  # the tied pair, one of them twice
+        assert detect_map(island.graph, pl, model, s, hypotheses=iter(hypotheses), cache=cache) == r
+
+    def test_empty_hypothesis_list_raises(self, island):
+        pl = Placement((6, 7, 10, 12))
+        with pytest.raises(NoFeasibleHypothesisError):
+            detect_map(island.graph, pl, island.load_model, np.ones(4), hypotheses=[])
+
+
+def test_first_best_per_column():
+    inf = float("inf")
+    scores = np.array([[-inf, 1.0, 2.0, -inf], [-inf, 3.0, 2.0, 0.0], [-inf, 3.0, 1.0, -inf]])
+    assert _first_best(scores).tolist() == [-1, 1, 0, 1]
+    assert _first_best(np.zeros((0, 3))).tolist() == [-1, -1, -1]
+    assert int(_first_best(np.array([-inf, 5.0, 5.0]))) == 1
+    assert int(_first_best(np.zeros(0))) == -1
+
 
 class TestZeroFlowMap:
     def test_transform_unimodular_for_every_hypothesis(self, island, tau_trees, tau_placements):
@@ -568,6 +600,12 @@ class TestZeroFlowMap:
         s = hypothesis_flow(island.graph, tree, pl, island.load_model.means)
         r = detect_zero_flow_map(island.graph, pl, island.load_model, s, restriction=island.tau)
         assert r.tree.edge_ids == tree.edge_ids
+
+    def test_no_feasible_hypothesis(self, island, tau_trees):
+        pl = Placement((6, 7, 10, 12))
+        s = hypothesis_flow(island.graph, tau_trees[0], pl, island.load_model.means)
+        with pytest.raises(NoFeasibleHypothesisError):
+            detect_zero_flow_map(island.graph, pl, island.load_model, s + 0.5, restriction=island.tau)
 
     def test_oversized_placement_rejected(self, island):
         with pytest.raises(UnsupportedPlacementError):
@@ -678,6 +716,16 @@ class TestFeasibleTree:
         s = np.array([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(InconsistentObservationError):
             feasible_tree(island.graph, s, pl, required_edges=island.tau)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_reading_count_must_match_sensors(self, island, count):
+        with pytest.raises(InvalidPlacementError, match="one observation per sensor"):
+            feasible_tree(island.graph, np.ones(count), Placement((6, 7, 10, 12)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_readings_rejected(self, island, bad):
+        with pytest.raises(ModelError):
+            feasible_tree(island.graph, [1.0, bad, 0.0, 1.0], Placement((6, 7, 10, 12)))
 
 
 class TestCycleDescent:

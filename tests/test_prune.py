@@ -15,8 +15,11 @@ from gridtree import (
     Placement,
     SpanningTree,
     detect_cycle_descent,
+    detect_deterministic,
+    detect_enumeration_oracle,
     detect_fmst,
     detect_map,
+    detect_zero_flow_map,
     enumerate_spanning_trees,
     enumerate_valid_placements,
     hypothesis_flow,
@@ -178,14 +181,21 @@ class TestPrunedCallsStillCheckInputs:
     """A call may build no Gaussian, so its inputs are checked up front."""
 
     def test_reading_count_must_match_sensors(self, island):
-        pl = Placement((6, 7, 10, 12))
+        g, pl = island.graph, Placement((6, 7, 10, 12))
         model = island.load_model.with_stddev(0.2)
-        tree = next(enumerate_spanning_trees(island.graph, island.tau))
-        for s in (np.ones(3), np.array([1.0, 0.0, 0.0, 0.0, 5.0])):
-            with pytest.raises(InvalidPlacementError, match="one observation per sensor"):
-                detect_map(island.graph, pl, model, s, restriction=island.tau)
-            with pytest.raises(InvalidPlacementError, match="one observation per sensor"):
-                local_map_search(island.graph, pl, model, s, tree)
+        tree = next(enumerate_spanning_trees(g, island.tau))
+        for s in (np.ones(3), np.array([1.0, 0.0, 0.0, 0.0, 5.0]), 1.0, np.ones((1, 4)), [1.0]):
+            for call in (
+                lambda: detect_map(g, pl, model, s, restriction=island.tau),
+                lambda: local_map_search(g, pl, model, s, tree),
+                lambda: detect_fmst(g, pl, model, s),
+                lambda: detect_cycle_descent(g, pl, model, s),
+                lambda: detect_zero_flow_map(g, pl, model, s),
+                lambda: detect_deterministic(g, pl, model.means, s),
+                lambda: detect_enumeration_oracle(g, pl, model.means, s),
+            ):
+                with pytest.raises(InvalidPlacementError, match="one observation per sensor"):
+                    call()
 
     def test_mismatched_model_raises_when_every_tree_is_pruned(self, island):
         g = island.graph

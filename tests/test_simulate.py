@@ -10,8 +10,10 @@ import gridtree.detect
 from gridtree import (
     ExperimentConfig,
     Graph,
+    InvalidPlacementError,
     ModelError,
     Placement,
+    detect_fmst,
     enumerate_valid_placements,
     evaluate_placements,
     run_deterministic_sweep,
@@ -166,6 +168,26 @@ class TestStochasticSweep:
         )
         report = run_stochastic_sweep(config)
         assert sum(r.misses for r in report.rows) > 0
+
+    def test_batch_form_error_is_a_miss_on_every_trial(self, island):
+        # the unmeasured edges of an invalid placement leave fmst's relaxed
+        # flow unsolvable, so every trial of every cell fails
+        pl = Placement((0, 1, 2, 3))
+        with pytest.raises(InvalidPlacementError):
+            detect_fmst(island.graph, pl, island.load_model, np.ones(4), island.tau)
+        config = ExperimentConfig(
+            graph=island.graph,
+            load_model=island.load_model,
+            placements=(pl,),
+            sigmas=(0.1,),
+            trials=3,
+            detectors=("fmst",),
+            seed=1,
+            restriction=island.tau,
+        )
+        report = run_stochastic_sweep(config)
+        assert len(report.rows) == 44
+        assert all(r.misses == r.trials == 3 for r in report.rows)
 
     def test_workers_below_one_rejected(self, island, tau_family):
         config = ExperimentConfig(
