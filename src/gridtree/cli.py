@@ -8,6 +8,7 @@ model/validity errors (invalid placement, inconsistent observation, ...).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fileio
@@ -36,14 +37,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _workers(text: str) -> int:
+def _at_least(least):
+    """An argparse type: a finite number at least ``least``, an int if ``least`` is one."""
+    kind = "an integer" if isinstance(least, int) else "a finite number"
+
+    def convert(text: str):
+        try:
+            value = type(least)(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+        if not least <= value < math.inf:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be {kind} >= {least}, got {text}")
+        return value
+
+    return convert
+
+
+_count, _seed, _noise = _at_least(1), _at_least(0), _at_least(0.0)
+
+
+def _noise_grid(text: str) -> tuple[float, ...]:
     try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+        return tuple(map(_noise, text.split(",")))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers >= 0, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -84,7 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="map", choices=DETECTOR_NAMES, help="detector to run")
     p.add_argument("--local-search", action="store_true",
                    help="refine the result over basis-preserving exchanges")
-    p.add_argument("--sigma", type=float,
+    p.add_argument("--sigma", type=_noise,
                    help="override every node's forecast stddev with this value")
     p.add_argument("--require-tau", action="store_true",
                    help="restrict hypotheses to trees containing the root edges")
@@ -94,31 +111,31 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True, help="graph file")
     p.add_argument("--loads", required=True, help="load forecast file")
     p.add_argument("--placement", required=True, help="placement file")
-    p.add_argument("--sigma", type=float, help="single noise level")
-    p.add_argument("--sigma-grid", help="comma-separated noise levels")
+    p.add_argument("--sigma", type=_noise, help="single noise level")
+    p.add_argument("--sigma-grid", type=_noise_grid, help="comma-separated noise levels")
     p.add_argument("--cv", action="store_true",
                    help="interpret noise levels as percent of each node's mean")
-    p.add_argument("--trials", type=int, default=1000, help="trials per (tree, sigma) cell")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--trials", type=_count, default=1000, help="trials per (tree, sigma) cell")
+    p.add_argument("--seed", type=_seed, default=0, help="base RNG seed")
     p.add_argument("--method", default="map", help="comma-separated detector list")
     p.add_argument("--local-search", action="store_true",
                    help="post-process every detector with the local neighborhood search")
     p.add_argument("--require-tau", action="store_true",
                    help="hypothesis trees must contain the root edges")
-    p.add_argument("--workers", type=_workers, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_count, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="CSV output file")
 
     p = add("rank-placements", "Score every minimal valid placement by mean/max miss rate.")
     p.add_argument("--graph", required=True, help="graph file")
     p.add_argument("--loads", required=True, help="load forecast file")
-    p.add_argument("--sigma", type=float, help="absolute noise level")
-    p.add_argument("--cv", type=float, help="noise as percent of each node's mean")
-    p.add_argument("--trials", type=int, default=200, help="trials per (tree, placement) cell")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--sigma", type=_noise, help="absolute noise level")
+    p.add_argument("--cv", type=_noise, help="noise as percent of each node's mean")
+    p.add_argument("--trials", type=_count, default=200, help="trials per (tree, placement) cell")
+    p.add_argument("--seed", type=_seed, default=0, help="base RNG seed")
     p.add_argument("--method", default="map", choices=DETECTOR_NAMES, help="detector to score")
     p.add_argument("--require-tau", action="store_true",
                    help="restrict trees and placements by the root edges")
-    p.add_argument("--workers", type=_workers, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_count, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="ranking CSV output file")
     p.add_argument("--report-out", help="also write the per-tree sweep CSV here")
 
@@ -207,10 +224,7 @@ def _sigma_list(args) -> tuple[float, ...]:
     if args.sigma_grid and args.sigma is not None:
         raise _UsageError("give one of --sigma / --sigma-grid, not both")
     if args.sigma_grid:
-        try:
-            return tuple(float(tok) for tok in args.sigma_grid.split(","))
-        except ValueError:
-            raise _UsageError(f"--sigma-grid needs comma-separated numbers: {args.sigma_grid!r}") from None
+        return args.sigma_grid
     if args.sigma is not None:
         return (args.sigma,)
     raise _UsageError("one of --sigma / --sigma-grid is required")

@@ -15,10 +15,14 @@ detector takes one as an optional ``cache``, which must have been built for
 the detector's own graph, placement and model.
 
 A HypothesisBank numbers trees and scores them on a block of readings, one
-row per observation.  Cycle descent and the local search are walks over its
-neighbour tables (``_descent_walk``, ``_local_walk``), run on one row by
-``detect_cycle_descent`` and ``local_map_search`` and on many by the Monte
-Carlo sweep.
+row per observation.  Cycle descent and the local search are both
+single-edge-exchange walks over its one neighbour table: each move is one
+``_step``, the first best of a tree and its neighbours along one basis
+cycle (``_descent_walk``, once per slot and sweep) or along every cycle
+where the exchange keeps the basis (``_local_walk``, once).  The walks run
+on one row for ``detect_cycle_descent`` and ``local_map_search`` and on
+every loaded row for the Monte Carlo sweep, a row without a tree (-1)
+staying at -1.
 
 ``detect_map`` and the bank never build or score a tree that lacks a
 sensor-support edge, which leaves every result unchanged;
@@ -224,7 +228,8 @@ class HypothesisCache:
             if self._J is None:  # zero_flow_transform, computed on first use
                 self._J = zero_flow_transform(self.graph, self.placement)
             stat = zero_flow_statistic(self.graph, self.placement, self.model, tree, J=self._J)
-            self._zero_flow[key] = (list(stat.indices), ReducedGaussian(stat.mean, stat.covariance))
+            zero = np.zeros(len(stat.indices))
+            self._zero_flow[key] = (list(stat.indices), ReducedGaussian(zero, stat.covariance))
         return self._zero_flow[key]
 
     def basis(self, tree: SpanningTree):
@@ -278,16 +283,14 @@ def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndar
     support edge, and a -inf candidate never beats the current likelihood.
     """
     return frozenset(
-        eid for eid, held in zip(placement.edge_ids, _support_mask(placement, model, observation)) if held
+        eid for eid, held in zip(placement.edge_ids, _support_mask(model, observation)) if held
     )
 
 
-def _support_mask(placement: Placement, model: LoadModel, readings: np.ndarray) -> np.ndarray:
+def _support_mask(model: LoadModel, readings: np.ndarray) -> np.ndarray:
     """True where a reading is a support reading by ``_sensor_support``'s
     threshold; ``readings`` is one observation or a block of them, one per row."""
-    size = np.abs(readings)
-    floor = max(1.0, 2.0 * float(np.abs(model.means).sum()))
-    return size > 1e-9 * np.maximum(floor, size.max(axis=-1, initial=0.0, keepdims=True))
+    return _nonzero_pattern(readings, floor=max(1.0, 2.0 * float(np.abs(model.means).sum())))
 
 
 def log_likelihood(
@@ -369,19 +372,18 @@ def detect_map(
     model: LoadModel,
     observation: Sequence[float],
     restriction: Iterable[int] = (),
-    hypotheses: Iterable[SpanningTree] | None = None,
     cache: HypothesisCache | None = None,
 ) -> DetectionResult:
-    """Most likely tree by exhaustive search over the hypothesis set.
+    """Most likely tree by exhaustive search over the trees holding ``restriction``.
 
-    Ties go to the first hypothesis in list order (enumeration order: the
-    smallest sorted edge tuple).  Raises if every hypothesis is impossible.
+    Ties go to the first hypothesis in enumeration order (the smallest
+    sorted edge tuple).  Raises if every hypothesis is impossible.
     A tree lacking a sensor-support edge scores -inf without its Gaussian
     being built, and still counts in ``iterations`` and ``pruned``; see
     ``_sensor_support`` for why that is its exact score.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    hypotheses = cache.hypotheses(restriction) if hypotheses is None else list(hypotheses)
+    hypotheses = cache.hypotheses(restriction)
     support = _sensor_support(placement, model, observation)
     scores = [cache.loglik(t, observation) if support <= t.edge_ids else _NEG_INF for t in hypotheses]
     return _most_likely(hypotheses, scores, "map")
@@ -438,7 +440,6 @@ class ZeroFlowStatistic:
     forecast-based flow, which are zero-mean when the hypothesis is true."""
 
     indices: tuple[int, ...]
-    mean: np.ndarray
     covariance: np.ndarray
     transform: np.ndarray  # maps sensor deviations to the selected entries
 
@@ -459,7 +460,6 @@ def zero_flow_statistic(
     cov = H @ dist.covariance @ H.T
     return ZeroFlowStatistic(
         indices=indices,
-        mean=np.zeros(len(indices)),
         covariance=cov,
         transform=H,
     )
@@ -569,11 +569,12 @@ def feasible_tree(
     return tree
 
 
-def _nonzero_pattern(readings: np.ndarray) -> np.ndarray:
-    """``feasible_tree``'s zero/nonzero pattern of each row of readings:
-    nonzero above ``1e-9 * max(1, max |s|)``."""
+def _nonzero_pattern(readings: np.ndarray, floor: float = 1.0) -> np.ndarray:
+    """The zero/nonzero pattern of each row of readings: nonzero above
+    ``1e-9 * max(floor, max |s|)``.  ``feasible_tree`` reads it with floor 1,
+    ``_support_mask`` with a higher floor."""
     size = np.abs(readings)
-    return size > 1e-9 * np.maximum(1.0, np.max(size, axis=-1, initial=0.0, keepdims=True))
+    return size > 1e-9 * np.maximum(floor, size.max(axis=-1, initial=0.0, keepdims=True))
 
 
 def detect_cycle_descent(
@@ -602,7 +603,7 @@ def detect_cycle_descent(
     fixed = required | _sensor_support(placement, model, observation)
     bank = HypothesisBank(cache, fixed, readings=observation[None])
     start = bank.number(feasible_tree(graph, observation, placement, required_edges=required))
-    tree, ll, sweeps, converged = _descent_walk(bank, np.zeros(1, dtype=np.intp), [start])
+    tree, ll, sweeps, converged = _descent_walk(bank, [start])
     return DetectionResult(
         tree=bank.trees[tree[0]],
         log_likelihood=float(ll[0]),
@@ -636,7 +637,7 @@ def local_map_search(
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     bank = HypothesisBank(cache, required_edges, readings=observation[None])
-    tree, ll, size = _local_walk(bank, np.zeros(1, dtype=np.intp), [bank.number(seed_tree)])
+    tree, ll, size = _local_walk(bank, [bank.number(seed_tree)])
     return DetectionResult(
         tree=bank.trees[tree[0]],
         log_likelihood=float(ll[0]),
@@ -659,21 +660,27 @@ class HypothesisBank:
     ``required_edges`` are the edges no exchange removes, and the restriction
     the starts and the row-by-row detectors get.
 
-    Per tree the bank keeps, as tree numbers and filled on first use, the
-    cycle-descent candidates of each basis slot in ``sorted(out)`` order and
-    the local-search neighbourhood (the tree first).  Per loaded row it keeps
-    the sensor support (``_support_mask``).  A tree's score column is filled
-    on first use, and only the rows whose support the tree holds are scored;
-    every other row scores -inf, which ``_sensor_support`` shows is exact.
-    A tree holding the support edges of every row scores every row, and one
-    lacking an edge that every row's support has scores none; only the trees
-    between the two read the mask, so a one-row load never does.
-    Memory per loaded block is one float per (row, numbered tree).
+    Per tree the bank keeps one neighbour table of ``mu + 1`` rows of tree
+    numbers (``mu`` the circuit rank, at least 1), each row the tree itself
+    and then its exchanges, padded with -1, and each filled on first use by
+    ``neighbours``.  Row ``k < mu`` holds the exchanges along basis cycle
+    ``k`` in ``sorted(out)`` order (none past the last basis cycle), the
+    candidates of cycle descent's slot ``k``; row ``mu`` holds the local
+    search's neighbourhood, the exchanges that take out no edge shared by
+    two basis cycles.  Per loaded row the bank keeps the sensor support
+    (``_support_mask``).  A tree's score column is filled on first use, and
+    only the rows whose support the tree holds are scored; every other row
+    scores -inf, which ``_sensor_support`` shows is exact.  A tree holding
+    the support edges of every row scores every row, and one lacking an
+    edge that every row's support has scores none; only the trees between
+    the two read the mask, so a one-row load never does.  Memory per loaded
+    block is one float per (row, numbered tree); the neighbour table, once
+    made, holds ``(mu + 1) * |V|`` integers per numbered tree.
 
     Every per-tree table has one spare last entry, which number -1 reads: it
-    stands for no tree, scores -inf and has no neighbours.  In the neighbour
-    tables -2 marks an entry not yet filled and -1 pads; NaN marks a score
-    not yet filled.
+    stands for no tree, scores -inf and has no neighbours, so a walk from -1
+    stays at -1.  In the neighbour table -2 marks a row not yet filled and -1
+    pads; NaN marks a score not yet filled.
     """
 
     def __init__(
@@ -688,14 +695,14 @@ class HypothesisBank:
         graph = cache.graph
         # the circuit rank: a graph with a spanning tree is connected
         self.mu = max(graph.n_edges - graph.n_vertices + 1, 1)
-        # a fundamental cycle has at most |V| edges, and the local-search
+        # a neighbour row is the tree and at most |V| - 1 exchanges: a
+        # fundamental cycle has at most |V| edges, and the local-search
         # exchanges of one basis take out distinct tree edges
-        self._width = max(graph.n_vertices - 1, 1)
+        self._width = max(graph.n_vertices, 2)
         self.trees: list[SpanningTree] = []
         self._numbers: dict[frozenset, int] = {}
         self._capacity = len(trees) or 64
-        self._descent: np.ndarray | None = None  # made on first use
-        self._local: np.ndarray | None = None
+        self._hoods: np.ndarray | None = None  # the neighbour table, made on first use
         self._starts: dict[bytes, int] = {}
         if readings is None:
             readings = np.zeros((0, len(cache.placement.edge_ids)))
@@ -703,11 +710,6 @@ class HypothesisBank:
         for tree in trees:
             self.number(tree)
         self.n_hypotheses = len(self.trees)
-
-    def _table(self, shape: tuple) -> np.ndarray:
-        table = np.full((self._capacity + 1,) + shape, -2, dtype=np.intp)
-        table[-1] = -1
-        return table
 
     def number(self, tree: SpanningTree) -> int:
         i = self._numbers.get(tree.edge_ids)
@@ -726,16 +728,14 @@ class HypothesisBank:
             return out
 
         self._scores = grown(self._scores, np.nan)
-        if self._descent is not None:
-            self._descent = grown(self._descent, -2)
-        if self._local is not None:
-            self._local = grown(self._local, -2)
+        if self._hoods is not None:
+            self._hoods = grown(self._hoods, -2)
         self._capacity = capacity
 
     def load(self, readings: np.ndarray) -> None:
         """Make ``readings`` (one row per observation) the block that is scored."""
         self.readings = np.asarray(readings, dtype=float)
-        self._support = _support_mask(self.cache.placement, self.cache.model, self.readings)
+        self._support = _support_mask(self.cache.model, self.readings)
         # the edges in some row's support and in every row's support
         sensors = self.cache.placement.edge_ids
         self._needed_by_some = frozenset(compress(sensors, self._support.any(axis=0)))
@@ -775,47 +775,33 @@ class HypothesisBank:
             self._fill(np.flatnonzero(np.isnan(scores[:, 0])).tolist())
         return scores
 
-    def _exchanges(self, i: int, gen: int, outs) -> list[int]:
-        edges = self.trees[i].edge_ids
-        return [self.number(SpanningTree((edges - {out}) | {gen})) for out in sorted(outs)]
-
-    def descent_candidates(self, ids: np.ndarray, slot: int) -> np.ndarray:
-        """Per tree: its exchanges along basis cycle ``slot`` in ``sorted(out)``
-        order, padded with -1; none past the last basis cycle."""
-        if self._descent is None:
-            self._descent = self._table((self.mu, self._width))
-        cands = self._descent[ids, slot]
-        todo = cands[:, 0] == -2
+    def neighbours(self, ids: np.ndarray, slot: int) -> np.ndarray:
+        """Row ``slot`` of the neighbour table of each tree in ``ids``."""
+        if self._hoods is None:
+            self._hoods = np.full((self._capacity + 1, self.mu + 1, self._width), -2, dtype=np.intp)
+            self._hoods[-1] = -1
+        hoods = self._hoods[ids, slot]
+        todo = hoods[:, 0] == -2
         if todo.any():
             for i in dict.fromkeys(ids[todo].tolist()):
                 basis = self.cache.basis(self.trees[i])
-                found = []
-                if slot < len(basis.generators):
-                    gen = basis.generators[slot]
-                    found = self._exchanges(i, gen, basis.cycles[slot].edges - {gen} - self.required)
-                self._descent[i, slot] = found + [-1] * (self._width - len(found))
-            cands = self._descent[ids, slot]
-        return cands
-
-    def local_candidates(self, ids: np.ndarray) -> np.ndarray:
-        """Per tree: the tree, then its local-search exchanges, padded with -1."""
-        if self._local is None:
-            self._local = self._table((self._width + 1,))
-        cands = self._local[ids]
-        todo = cands[:, 0] == -2
-        if todo.any():
-            for i in dict.fromkeys(ids[todo].tolist()):
-                basis = self.cache.basis(self.trees[i])
-                seen, shared = set(), set()  # shared: edges on more than one basis cycle
-                for cyc in basis.cycles:
-                    shared |= seen & cyc.edges
-                    seen |= cyc.edges
-                hood = [i]
-                for gen, cyc in zip(basis.generators, basis.cycles):
-                    hood += self._exchanges(i, gen, cyc.edges - {gen} - self.required - shared)
-                self._local[i] = hood + [-1] * (self._width + 1 - len(hood))
-            cands = self._local[ids]
-        return cands
+                gens, cycles = basis.generators, basis.cycles
+                shared = set()  # edges on two basis cycles, which the local search keeps
+                if slot < self.mu:
+                    gens, cycles = gens[slot : slot + 1], cycles[slot : slot + 1]
+                else:
+                    seen = set()
+                    for cyc in cycles:
+                        shared |= seen & cyc.edges
+                        seen |= cyc.edges
+                edges = self.trees[i].edge_ids
+                row = [i]
+                for gen, cyc in zip(gens, cycles):
+                    outs = sorted(cyc.edges - {gen} - self.required - shared)
+                    row += [self.number(SpanningTree((edges - {out}) | {gen})) for out in outs]
+                self._hoods[i, slot] = row + [-1] * (self._width - len(row))
+            hoods = self._hoods[ids, slot]
+        return hoods
 
     def starts(self) -> np.ndarray:
         """Number of ``feasible_tree`` of each loaded row, -1 where it raises;
@@ -853,61 +839,56 @@ class HypothesisBank:
                     continue
                 picks[r] = self.number(result.tree)
         if local_search:
-            rows = np.flatnonzero(picks >= 0)
-            picks[rows] = _local_walk(self, rows, picks[rows])[0]
+            picks = _local_walk(self, picks)[0]
         return picks
 
 
-def _descent_walk(bank: HypothesisBank, rows, ids):
-    """Cycle descent from trees ``ids`` on loaded rows ``rows``, all rows at once.
+def _step(bank: HypothesisBank, rows: np.ndarray, hoods: np.ndarray):
+    """Per loaded row ``rows[r]``, the first tree of highest score in
+    ``hoods[r]`` (a neighbour row: the current tree first, so it stays
+    unless a neighbour scores strictly higher), and that score."""
+    scores = bank.score(rows[:, None], hoods)
+    best = scores.argmax(axis=1)
+    at = np.arange(len(rows))
+    return hoods[at, best], scores[at, best]
 
-    Per row it makes ``detect_cycle_descent``'s comparisons in its order: on
-    each basis slot of the current tree, the first candidate of highest score
-    replaces the tree if that score is strictly higher; a row stops after a
-    sweep that changed nothing (converged) or after ``100 * bank.mu`` sweeps.
-    Returns per row the tree number, its score, the sweeps made and whether
-    it converged.
+
+def _descent_walk(bank: HypothesisBank, ids):
+    """Cycle descent from trees ``ids``, one per loaded row, all rows at once.
+
+    Per row it makes ``detect_cycle_descent``'s comparisons in its order: a
+    sweep is one ``_step`` per basis slot; a row stops after a sweep that
+    left its tree as it was (converged; scores only rise, so a tree never
+    comes back) or after ``100 * bank.mu`` sweeps.  Returns per row the
+    tree number, its score, the sweeps made and whether it converged.
     """
-    rows = np.asarray(rows, dtype=np.intp)
     tree = np.array(ids, dtype=np.intp)
-    ll = bank.score(rows, tree)
-    sweeps = np.zeros(len(rows), dtype=np.intp)
-    converged = np.zeros(len(rows), dtype=bool)
-    live = np.arange(len(rows))  # rows still sweeping; cur and cur_ll hold their state
-    cur, cur_ll = tree, ll
+    ll = np.full(len(tree), _NEG_INF)
+    sweeps = np.zeros(len(tree), dtype=np.intp)
+    converged = np.zeros(len(tree), dtype=bool)
+    live = np.arange(len(tree))  # rows still sweeping; cur holds their trees
+    cur = tree
     for _ in range(100 * bank.mu):
         if not len(live):
             break
         sweeps[live] += 1
-        at = np.arange(len(live))
-        on = rows[live, None]
-        improved = np.zeros(len(live), dtype=bool)
+        start = cur
         for slot in range(bank.mu):
-            cands = bank.descent_candidates(cur, slot)
-            scores = bank.score(on, cands)
-            best = scores.argmax(axis=1)
-            best_ll = scores[at, best]
-            up = best_ll > cur_ll
-            if up.any():
-                cur = np.where(up, cands[at, best], cur)
-                cur_ll = np.where(up, best_ll, cur_ll)
-                improved |= up
+            cur, cur_ll = _step(bank, live, bank.neighbours(cur, slot))
+        improved = cur != start  # before tree is written: start may be tree itself
         tree[live], ll[live] = cur, cur_ll
         converged[live[~improved]] = True
-        live, cur, cur_ll = live[improved], cur[improved], cur_ll[improved]
+        live, cur = live[improved], cur[improved]
     return tree, ll, sweeps, converged
 
 
-def _local_walk(bank: HypothesisBank, rows, ids):
-    """``local_map_search`` from trees ``ids`` on loaded rows ``rows``: the first
-    of highest score among each tree and its neighbourhood, the tree first.
-    Returns per row the tree number, its score and the neighbourhood size."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cands = bank.local_candidates(np.asarray(ids, dtype=np.intp))
-    scores = bank.score(rows[:, None], cands)
-    best = scores.argmax(axis=1)
-    at = np.arange(len(rows))
-    return cands[at, best], scores[at, best], (cands >= 0).sum(axis=1)
+def _local_walk(bank: HypothesisBank, ids):
+    """``local_map_search`` from trees ``ids``, one per loaded row: one
+    ``_step`` over the neighbourhood row.  Returns per row the tree number,
+    its score and the neighbourhood size, the tree included."""
+    hoods = bank.neighbours(np.asarray(ids, dtype=np.intp), bank.mu)
+    tree, ll = _step(bank, np.arange(len(hoods)), hoods)
+    return tree, ll, (hoods >= 0).sum(axis=1)
 
 
 # -- registry ----------------------------------------------------------------------
@@ -942,13 +923,6 @@ def _fmst_batch(bank: HypothesisBank) -> np.ndarray:
     return np.array([bank.number(tree) for tree in trees], dtype=np.intp)
 
 
-def _descent_batch(bank: HypothesisBank) -> np.ndarray:
-    picks = bank.starts()
-    rows = np.flatnonzero(picks >= 0)
-    picks[rows] = _descent_walk(bank, rows, picks[rows])[0]
-    return picks
-
-
 #: name -> callable(bank) giving, for every row loaded in the HypothesisBank,
 #: the number of the tree that ``DETECTORS[name]`` picks, or -1 where it
 #: raises.  A batch form raises only errors that hold for every row, and
@@ -957,5 +931,5 @@ def _descent_batch(bank: HypothesisBank) -> np.ndarray:
 DETECTOR_BATCHES = {
     "map": lambda bank: _first_best(bank.table()),
     "fmst": _fmst_batch,
-    "cycledescent": _descent_batch,
+    "cycledescent": lambda bank: _descent_walk(bank, bank.starts())[0],
 }

@@ -76,6 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ModelError("trials must be >= 1")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
         if not all(0 <= s < float("inf") for s in self.sigmas):
             raise ModelError("sigma values must be finite and >= 0")
         if self.sigma_mode not in ("absolute", "cv", "model"):

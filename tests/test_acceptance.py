@@ -260,7 +260,7 @@ def _produce_crit7_agree(island, tau_trees) -> str:
         for _ in range(trials):
             x = model.means + sigma * rng.standard_normal(5)
             s = hypothesis_flow(island.graph, true, pl, x)
-            a = detect_map(island.graph, pl, model, s, hypotheses=tau_trees, cache=cache)
+            a = detect_map(island.graph, pl, model, s, restriction=island.tau, cache=cache)
             b = detect_fmst(island.graph, pl, model, s, required_edges=island.tau)
             agree += a.tree.edge_ids == b.tree.edge_ids
         lines.append(f"{true.label()},{trials},{agree}")

@@ -285,6 +285,41 @@ class TestSweepAndRanking:
         assert "--workers" in err and "_workers" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sweep", "--trials", "0"),
+            ("sweep", "--sigma", "-1"),
+            ("sweep", "--sigma", "inf"),
+            ("sweep", "--sigma-grid", "nan"),
+            ("sweep", "--sigma-grid", "0.1,-0.2"),
+            ("sweep", "--seed", "-1"),
+            ("rank-placements", "--trials", "0"),
+            ("rank-placements", "--sigma", "-1"),
+            ("rank-placements", "--cv", "-1"),
+            ("rank-placements", "--seed", "-3"),
+            ("detect", "--sigma", "-1"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_1(self, island, island_files, tmp_path, capsys, command, flag, value):
+        gpath, lpath = island_files
+        pl = Placement((6, 7, 10, 12))
+        ppath, opath, out = tmp_path / "p.place", tmp_path / "o.obs", tmp_path / "x.csv"
+        ppath.write_text(format_placement(pl))
+        tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
+        opath.write_text(format_observation(hypothesis_flow(island.graph, tree, pl, island.load_model.means)))
+        argv = [command, "--graph", str(gpath), "--loads", str(lpath), "--out", str(out)]
+        if command != "rank-placements":
+            argv += ["--placement", str(ppath)]
+        if command == "detect":
+            argv += ["--obs", str(opath)]
+        if flag not in ("--sigma", "--sigma-grid", "--cv"):
+            argv += ["--sigma", "0.1"]
+        rc = main(argv + [flag, value])
+        assert rc == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_unknown_method_exits_1(self, island_files, tmp_path, capsys):
         gpath, lpath = island_files
         ppath = tmp_path / "p.place"

@@ -5,6 +5,7 @@ and no example database is written.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from gridtree import (
     tree_edge_flows,
     tree_to_placement,
 )
-from gridtree.detect import _PYTHON_ROWS, HypothesisCache
+from gridtree.detect import _PYTHON_ROWS, HypothesisBank, HypothesisCache
 from conftest import random_connected_graph
 
 
@@ -103,6 +104,8 @@ def _per_call_tree(name, local, graph, placement, model, s, required, cache):
             tree = detect_map(graph, placement, model, s, required, cache=cache).tree
         elif name == "fmst":
             tree = detect_fmst(graph, placement, model, s, required).tree
+        elif name == "zeroflow":
+            tree = detect_zero_flow_map(graph, placement, model, s, required, cache=cache).tree
         else:
             tree = detect_cycle_descent(graph, placement, model, s, cache=cache, required_edges=required).tree
         if local:
@@ -142,6 +145,29 @@ def test_sweep_cells_equal_the_per_call_detectors(seed, sigma, trials):
                     for s in readings
                 ]
                 assert rows[t_idx * len(names) + k].misses == sum(p != trees[t_idx] for p in picks)
+
+
+@pytest.mark.parametrize("seed, n_rows", [(7, 5), (17, _PYTHON_ROWS + 4), (28, _PYTHON_ROWS + 4)])
+def test_bank_rows_without_a_start_stay_misses(seed, n_rows):
+    # one block of exact readings and readings with 1e-6 noise: the noisy
+    # rows match no zero pattern, so their descent starts are -1
+    rng, graph, placement, means, required = _problem(seed)
+    model = LoadModel(graph.load_vertices, means, np.full(len(means), 0.04))
+    trees = list(enumerate_spanning_trees(graph, required))
+    readings = []
+    for k in range(n_rows):
+        true = trees[int(rng.integers(len(trees)))]
+        s = hypothesis_flow(graph, true, placement, means + 0.2 * rng.standard_normal(len(means)))
+        readings.append(s + 1e-6 * rng.standard_normal(len(s)) if k % 2 else s)
+    cache = HypothesisCache(graph, placement, model)
+    bank = HypothesisBank(cache, required, trees, np.array(readings))
+    starts = bank.starts()
+    assert (starts < 0).any() and (starts >= 0).any()
+    for name, local in (("cycledescent", False), ("cycledescent", True), ("zeroflow", True)):
+        picks = bank.detect(name, local_search=local)
+        for s, pick in zip(readings, picks.tolist()):
+            want = _per_call_tree(name, local, graph, placement, model, s, required, cache)
+            assert (None if pick < 0 else bank.trees[pick]) == want
 
 
 def _reference_descent(graph, placement, model, s, required):

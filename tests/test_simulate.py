@@ -11,11 +11,15 @@ from gridtree import (
     ExperimentConfig,
     Graph,
     InvalidPlacementError,
+    LoadModel,
     ModelError,
     Placement,
+    SpanningTree,
+    detect_cycle_descent,
     detect_fmst,
     enumerate_valid_placements,
     evaluate_placements,
+    local_map_search,
     run_deterministic_sweep,
     run_stochastic_sweep,
 )
@@ -218,6 +222,32 @@ class TestStochasticSweep:
                 trials=1,
                 detectors=("nope",),
             )
+
+    def test_negative_seed_rejected(self, island, tau_family):
+        with pytest.raises(ModelError, match="seed must be >= 0"):
+            ExperimentConfig(
+                graph=island.graph,
+                load_model=island.load_model,
+                placements=(tau_family.placements[0],),
+                sigmas=(0.1,),
+                trials=1,
+                seed=-1,
+            )
+
+    def test_graph_without_a_cycle(self):
+        # circuit rank 0: one tree, no basis cycle, nothing to exchange
+        g = Graph(["r", "a", "b"], [("r", "a"), ("a", "b")], root="r")
+        model = LoadModel(g.load_vertices, [1.0, 2.0], [0.1, 0.1])
+        pl, tree = Placement(()), SpanningTree(frozenset({0, 1}))
+        r = detect_cycle_descent(g, pl, model, np.zeros(0))
+        assert (r.tree, r.iterations, r.converged) == (tree, 1, True)
+        r = local_map_search(g, pl, model, np.zeros(0), tree)
+        assert (r.tree, r.iterations) == (tree, 1)
+        config = ExperimentConfig(
+            graph=g, load_model=model, placements=(pl,), sigmas=(0.1,), trials=5,
+            detectors=("cycledescent", "fmst"), local_search=True,
+        )
+        assert [row.misses for row in run_stochastic_sweep(config).rows] == [0, 0]
 
     def test_csv_schema(self, island, tau_family):
         config = ExperimentConfig(
