@@ -102,7 +102,9 @@ def build_parser() -> _Parser:
     p.add_argument("--local-search", action="store_true",
                    help="refine the result over basis-preserving exchanges")
     p.add_argument("--sigma", type=_noise,
-                   help="override every node's forecast stddev with this value")
+                   help="override every node's forecast stddev with this value "
+                        "(read by the likelihood detectors and --local-search; "
+                        "deterministic and enum read only the means)")
     p.add_argument("--require-tau", action="store_true",
                    help="restrict hypotheses to trees containing the root edges")
     p.add_argument("--out", help="write the result as a CSV row here")
@@ -197,6 +199,8 @@ def _cmd_detect(args) -> int:
     method = args.method
     if method == "enum" and args.local_search:
         raise _UsageError("--local-search needs a detector that returns one tree, not enum")
+    if args.sigma is not None and method in ("deterministic", "enum") and not args.local_search:
+        raise _UsageError(f"--sigma has no effect on --method {method}, which reads only the forecast means")
     graph, model = _load_graph_and_model(args)
     if args.sigma is not None:
         model = model.with_stddev(args.sigma)

@@ -10,9 +10,11 @@ kernel computes that score from elementwise multiplies and adds only; a
 single row, or a batch under ``_PYTHON_ROWS`` rows, runs it on Python
 floats and a larger batch on numpy columns, so a row scores the same bits
 either way.  A HypothesisCache memoizes, per (graph, placement, model), the
-hypothesis set, each tree's Gaussians and its cycle basis; every likelihood
+hypothesis sets, each tree's Gaussians and its cycle basis; every likelihood
 detector takes one as an optional ``cache``, which must have been built for
-the detector's own graph, placement and model.
+the detector's own graph, placement and model.  ``HypothesisCache.gaussians``
+factors the Gaussians a call needs as one stack (``_factorise``), a Gaussian
+built alone being a stack of one; its factors have the same bits either way.
 
 A HypothesisBank numbers trees and scores them on a block of readings, one
 row per observation.  Cycle descent and the local search are both
@@ -26,7 +28,9 @@ staying at -1.
 
 ``detect_map`` and the bank never build or score a tree that lacks a
 sensor-support edge, which leaves every result unchanged;
-``_sensor_support`` states why.
+``_sensor_support`` states why.  ``detect_map`` does not enumerate such
+trees either: it enumerates the trees holding the restriction and the
+support, and counts the others by the matrix-tree theorem.
 
 Per-call and batch MAP (and ``detect_zero_flow_map``) pick with one
 first-best rule, ``_first_best``; ``detect_fmst`` and its batch form share
@@ -41,6 +45,7 @@ sweep runs over a bank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -50,6 +55,7 @@ import numpy as np
 from .errors import (
     GridTreeError,
     InconsistentObservationError,
+    InfeasibleConstraintError,
     InvalidPlacementError,
     ModelError,
     NoFeasibleHypothesisError,
@@ -66,6 +72,7 @@ from .graph import (
     Graph,
     SpanningTree,
     circuit_rank,
+    count_spanning_trees,
     enumerate_spanning_trees,
     is_spanning_tree,
     max_weight_spanning_tree,
@@ -111,41 +118,26 @@ class ReducedGaussian:
     whitening factor.  Every skipped coordinate is an affine function of the
     kept ones and is consistency-checked at evaluation time.  Pivoting on the
     largest diagonal would keep a different subset and change every score.
+    ``factors`` are this pair's entry of ``_factorise``, which a stack of
+    Gaussians is built from; without them the pair is factored alone.
     """
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+    def __init__(self, mean: np.ndarray, cov: np.ndarray, factors: tuple | None = None):
         mean = np.asarray(mean, dtype=float)
-        m = len(mean)
-        A = np.array(cov, dtype=float)  # residual of the elimination; cov stays as given
-        guard = 1e-12 * float(A.trace())
-        L = np.zeros((m, m))
-        keep: list[int] = []
-        for j in range(m):
-            if A[j, j] > guard:  # variance of j left over by the kept coordinates before it
-                col = L[j:, j] = A[j:, j] / np.sqrt(A[j, j])
-                A[j:, j:] -= col[:, None] * col  # np.outer's product, without its call overhead
-                keep.append(j)
-        L = L[:, keep]  # the Cholesky factor: cov = L @ L.T up to the guard
+        if factors is None:
+            [factors] = _factorise(mean[None], np.asarray(cov, dtype=float)[None])
+        keep, dep, self.logdet, whiten, dep_coef, dep_offset = factors
         self.mean = mean
         self.keep = np.array(keep, dtype=int)
-        self.dep = np.array([j for j in range(m) if j not in keep], dtype=int)
+        self.dep = np.array(dep, dtype=int)
         self.rank = len(keep)
         mean_list = mean.tolist()
         # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
         self.tol_scale = max([1.0, *map(abs, mean_list)])
-        # with nothing kept (zero covariance) these are empty arrays of the right shapes
-        L_keep = L[self.keep]
-        self.logdet = 2.0 * float(np.log(L_keep.diagonal()).sum())
-        whiten = np.linalg.inv(L_keep)  # lower triangular, as L_keep is
-        dep_coef = L[self.dep] @ whiten
-        dep_offset = mean[self.dep] - dep_coef @ mean[self.keep]
         # the factors as the Python rows _kernel reads
         self._centre = [(a, mean_list[a]) for a in keep]
-        self._whiten = [row[: i + 1] for i, row in enumerate(whiten.tolist())]
-        self._implied = [
-            (j, off, list(zip(keep, coef)))
-            for j, off, coef in zip(self.dep.tolist(), dep_offset.tolist(), dep_coef.tolist())
-        ]
+        self._whiten = [row[: i + 1] for i, row in enumerate(whiten)]
+        self._implied = [(j, off, list(zip(keep, coef))) for j, off, coef in zip(dep, dep_offset, dep_coef)]
 
     def _kernel(self, v, ok, maximum):
         """``(ok, score)`` of one row (``v`` floats, ``maximum`` max) or of many
@@ -186,6 +178,55 @@ class ReducedGaussian:
         return np.where(ok, score, _NEG_INF)
 
 
+def _factorise(means: np.ndarray, covs: np.ndarray) -> list[tuple]:
+    """ReducedGaussian's factors of each (mean, covariance) pair of a stack
+    (``means`` k x m, ``covs`` k x m x m), in stack order.
+
+    The elimination runs per covariance on Python floats: the float
+    operations of a numpy elimination, so the same bits, without its call
+    overhead on these small matrices.  The rest runs once per rank, on the
+    pairs of that rank stacked: the log-determinant, ``np.linalg.inv`` of
+    the kept rows and the dependent coefficients.  A stacked numpy call
+    makes each matrix's own call, so a pair gets the same factors in any
+    stack, alone included.  Per pair: kept and dependent coordinates,
+    log-determinant, whitening rows, and the dependent coordinates'
+    coefficient rows and offsets, as lists.
+    """
+    guards = (1e-12 * covs.trace(axis1=1, axis2=2)).tolist()
+    m = covs.shape[1]
+    by_rank: dict[int, list] = {}
+    for t, (a, guard, mean) in enumerate(zip(covs.tolist(), guards, means.tolist())):
+        lower = [0.0] * (m * m)  # the Cholesky factor, row-major
+        keep = []
+        for j in range(m):
+            if a[j][j] > guard:  # variance of j left over by the kept coordinates before it
+                root = math.sqrt(a[j][j])
+                col = [row[j] / root for row in a[j:]]
+                for i in range(1, m - j):  # the residual's lower triangle, less col col^T
+                    row, c = a[j + i], col[i]
+                    for q in range(1, i + 1):
+                        row[j + q] -= c * col[q]
+                lower[j * (m + 1) :: m] = col  # column j, from row j down
+                keep.append(j)
+        order = keep + [j for j in range(m) if j not in keep]  # kept coordinates first
+        kept_cols = [lower[i * m + j] for i in order for j in keep]
+        by_rank.setdefault(len(keep), []).append((t, order, kept_cols, [mean[i] for i in order]))
+    out = [()] * len(guards)
+    for r, group in by_rank.items():
+        ts, orders, kept_cols, centres = zip(*group)
+        L = np.array(kept_cols, dtype=float).reshape(len(ts), m, r)
+        centres = np.array(centres, dtype=float).reshape(len(ts), m, 1)
+        L_keep = L[:, :r]
+        logdet = 2.0 * np.log(L_keep.diagonal(0, 1, 2)).sum(axis=1)
+        whiten = np.linalg.inv(L_keep)  # lower triangular, as L_keep is
+        dep_coef = L[:, r:] @ whiten
+        dep_offset = centres[:, r:, 0] - (dep_coef @ centres[:, :r])[:, :, 0]
+        rows = zip(logdet.tolist(), whiten.tolist(), dep_coef.tolist(), dep_offset.tolist())
+        for t, o, row in zip(ts, orders, rows):
+            out[t] = (o[:r], o[r:], *row)
+    return out
+
+
 class HypothesisCache:
     """Per-(graph, placement, model) memo of hypothesis sets, distributions and bases."""
 
@@ -211,12 +252,19 @@ class HypothesisCache:
             self._hypotheses[key] = list(enumerate_spanning_trees(self.graph, key))
         return self._hypotheses[key]
 
+    def gaussians(self, trees: Sequence[SpanningTree]) -> list[ReducedGaussian]:
+        """The Gaussian of each tree; those not built yet are factored as one stack."""
+        todo = [t for t in dict.fromkeys(trees) if t.edge_ids not in self._gaussians]
+        if todo:
+            dists = [hypothesis_flow_distribution(self.graph, t, self.placement, self.model) for t in todo]
+            means = np.array([dist.mean for dist in dists])
+            covs = np.array([dist.covariance for dist in dists])
+            for tree, dist, factors in zip(todo, dists, _factorise(means, covs)):
+                self._gaussians[tree.edge_ids] = ReducedGaussian(dist.mean, dist.covariance, factors)
+        return [self._gaussians[t.edge_ids] for t in trees]
+
     def gaussian(self, tree: SpanningTree) -> ReducedGaussian:
-        key = tree.edge_ids
-        if key not in self._gaussians:
-            dist = hypothesis_flow_distribution(self.graph, tree, self.placement, self.model)
-            self._gaussians[key] = ReducedGaussian(dist.mean, dist.covariance)
-        return self._gaussians[key]
+        return self.gaussians([tree])[0]
 
     def loglik(self, tree: SpanningTree, observation: Sequence[float]) -> float:
         return self.gaussian(tree).logpdf(observation)
@@ -277,10 +325,11 @@ def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndar
     a dependent coordinate whose implied value is exactly 0, and a reading on
     e above the threshold makes that tree's log-likelihood -inf.
 
-    So ``detect_map`` and a HypothesisBank may skip such trees, scoring them
-    -inf.  Cycle descent never leaves the trees holding the support: its
-    start tree (``feasible_tree``, whose zero tolerance is lower) holds every
-    support edge, and a -inf candidate never beats the current likelihood.
+    So such trees score -inf unbuilt: ``detect_map`` counts them without
+    enumerating them, and a HypothesisBank does not score them.  Cycle
+    descent never leaves the trees holding the support: its start tree
+    (``feasible_tree``, whose zero tolerance is lower) holds every support
+    edge, and a -inf candidate never beats the current likelihood.
     """
     return frozenset(
         eid for eid, held in zip(placement.edge_ids, _support_mask(model, observation)) if held
@@ -378,15 +427,24 @@ def detect_map(
 
     Ties go to the first hypothesis in enumeration order (the smallest
     sorted edge tuple).  Raises if every hypothesis is impossible.
-    A tree lacking a sensor-support edge scores -inf without its Gaussian
-    being built, and still counts in ``iterations`` and ``pruned``; see
-    ``_sensor_support`` for why that is its exact score.
+    Only the trees holding the sensor support as well are enumerated, and
+    their Gaussians built as one stack; every other tree scores -inf (see
+    ``_sensor_support``) and is counted, not enumerated: ``iterations`` is
+    the matrix-tree count of the trees holding ``restriction``, and those
+    not enumerated count in ``pruned``.  Support edges are common to every
+    enumerated tree, so they never decide which of two trees holds the
+    smallest edge of their symmetric difference: the enumerated trees keep
+    their order, and the first best is the same tree.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    hypotheses = cache.hypotheses(restriction)
-    support = _sensor_support(placement, model, observation)
-    scores = [cache.loglik(t, observation) if support <= t.edge_ids else _NEG_INF for t in hypotheses]
-    return _most_likely(hypotheses, scores, "map")
+    restriction = frozenset(restriction)
+    iterations = count_spanning_trees(graph, restriction)
+    try:
+        hypotheses = cache.hypotheses(restriction | _sensor_support(placement, model, observation))
+    except InfeasibleConstraintError:  # the support closes a cycle: no tree holds it
+        hypotheses = []
+    scores = [g.logpdf(observation) for g in cache.gaussians(hypotheses)]
+    return _most_likely(hypotheses, scores, "map", iterations)
 
 
 def _first_best(scores: np.ndarray) -> np.ndarray:
@@ -400,9 +458,10 @@ def _first_best(scores: np.ndarray) -> np.ndarray:
     return np.where(top > _NEG_INF, best, -1)
 
 
-def _most_likely(hypotheses: Sequence[SpanningTree], scores, method: str) -> DetectionResult:
-    """The hypothesis ``_first_best`` picks from its ``scores``; -inf scores
-    count as pruned.  Raises if every hypothesis is impossible."""
+def _most_likely(hypotheses: Sequence[SpanningTree], scores, method: str, iterations: int) -> DetectionResult:
+    """The hypothesis ``_first_best`` picks from its ``scores``, out of
+    ``iterations`` hypotheses; -inf scores and hypotheses not scored count as
+    pruned.  Raises if every hypothesis is impossible."""
     scores = np.asarray(scores, dtype=float)
     best = int(_first_best(scores))
     if best < 0:
@@ -411,8 +470,8 @@ def _most_likely(hypotheses: Sequence[SpanningTree], scores, method: str) -> Det
         tree=hypotheses[best],
         log_likelihood=float(scores[best]),
         method=method,
-        iterations=len(scores),
-        pruned=int(np.count_nonzero(scores == _NEG_INF)),
+        iterations=iterations,
+        pruned=iterations - len(scores) + int(np.count_nonzero(scores == _NEG_INF)),
     )
 
 
@@ -491,7 +550,7 @@ def detect_zero_flow_map(
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     hypotheses = cache.hypotheses(restriction)
     scores = [rg.logpdf(f_o[indices]) for indices, rg in map(cache.zero_flow, hypotheses)]
-    return _most_likely(hypotheses, scores, "zeroflow")
+    return _most_likely(hypotheses, scores, "zeroflow", len(hypotheses))
 
 
 # -- flow-weighted spanning tree -------------------------------------------------
@@ -746,17 +805,20 @@ class HypothesisBank:
 
     def _fill(self, ids) -> None:
         sensors = self.cache.placement.edge_ids
+        held = {}  # tree number -> the rows whose support it holds, if any
         for i in ids:
-            tree = self.trees[i]
-            if self._needed_by_some <= tree.edge_ids:  # holds every row's support
-                self._scores[i] = self.cache.gaussian(tree).logpdf_batch(self.readings)
-                continue
+            edges = self.trees[i].edge_ids
             self._scores[i] = _NEG_INF
-            if self._needed_by_all <= tree.edge_ids:  # some rows may be held: ask the mask
-                lacking = [k for k, eid in enumerate(sensors) if eid not in tree.edge_ids]
+            if self._needed_by_some <= edges:  # holds every row's support
+                held[i] = slice(None)
+            elif self._needed_by_all <= edges:  # some rows may be held: ask the mask
+                lacking = [k for k, eid in enumerate(sensors) if eid not in edges]
                 holds = ~self._support[:, lacking].any(axis=1)
                 if holds.any():
-                    self._scores[i, holds] = self.cache.gaussian(tree).logpdf_batch(self.readings[holds])
+                    held[i] = holds
+        gaussians = self.cache.gaussians([self.trees[i] for i in held])
+        for (i, rows), gaussian in zip(held.items(), gaussians):
+            self._scores[i, rows] = gaussian.logpdf_batch(self.readings[rows])
 
     def score(self, rows, ids) -> np.ndarray:
         """Scores of trees ``ids`` on loaded rows ``rows``; ``rows`` broadcasts

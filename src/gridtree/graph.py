@@ -270,6 +270,23 @@ def root_tree(graph: Graph, tree: SpanningTree):
     return parent, depth, order
 
 
+def _required_forest(graph: Graph, required_edges: Iterable[int]) -> tuple[list[int], UnionFind]:
+    """``required_edges`` sorted without repeats, and the vertex sets they join.
+
+    Raises UnknownEdgeError for an id that is not an edge and
+    InfeasibleConstraintError if the edges contain a cycle.
+    """
+    req = sorted(set(required_edges))
+    for eid in req:
+        graph.check_edge(eid)
+    uf = UnionFind(graph.n_vertices)
+    for eid in req:
+        u, v = graph.edges[eid]
+        if not uf.union(graph.vertex_index(u), graph.vertex_index(v)):
+            raise InfeasibleConstraintError("required edges contain a cycle")
+    return req, uf
+
+
 def enumerate_spanning_trees(
     graph: Graph, required_edges: Iterable[int] = ()
 ) -> Iterator[SpanningTree]:
@@ -279,16 +296,8 @@ def enumerate_spanning_trees(
     so every recursion branch emits at least one tree and the output order is
     deterministic for a fixed edge order.
     """
-    req = sorted(set(required_edges))
-    for eid in req:
-        graph.check_edge(eid)
+    req, uf0 = _required_forest(graph, required_edges)
     n = graph.n_vertices
-    uf0 = UnionFind(n)
-    for eid in req:
-        u, v = graph.edges[eid]
-        if not uf0.union(graph.vertex_index(u), graph.vertex_index(v)):
-            raise InfeasibleConstraintError("required edges contain a cycle")
-
     req_set = set(req)
     free = [e for e in range(graph.n_edges) if e not in req_set]
     free_ends = [
@@ -328,23 +337,31 @@ def enumerate_spanning_trees(
         yield from extend(0, uf0)
 
 
-def count_spanning_trees(graph: Graph) -> int:
-    """Number of spanning trees via the determinant of a Laplacian minor.
+def count_spanning_trees(graph: Graph, required_edges: Iterable[int] = ()) -> int:
+    """Number of spanning trees containing ``required_edges``, by the matrix-tree theorem.
 
-    Computed in exact integer arithmetic (fraction-free elimination), so the
-    result is usable as an equality oracle against enumeration.  Returns 0
-    for a disconnected graph.
+    The required edges are contracted, and the count is the determinant of a
+    Laplacian minor of the contracted multigraph (Kirchhoff), computed in
+    exact integer arithmetic (fraction-free elimination), so the result is
+    usable as an equality oracle against enumeration.  Returns 0 for a
+    disconnected graph.  Raises as ``enumerate_spanning_trees`` does for
+    unknown or cyclic required edges.
     """
-    n = graph.n_vertices
+    _, uf = _required_forest(graph, required_edges)
+    # one Laplacian row per vertex set the required edges join
+    node: dict[int, int] = {}
+    of = [node.setdefault(uf.find(x), len(node)) for x in range(graph.n_vertices)]
+    n = len(node)
     if n == 1:
         return 1
     L = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
-        i, j = graph.vertex_index(u), graph.vertex_index(v)
-        L[i][i] += 1
-        L[j][j] += 1
-        L[i][j] -= 1
-        L[j][i] -= 1
+        i, j = of[graph.vertex_index(u)], of[graph.vertex_index(v)]
+        if i != j:  # an edge within one set would close a cycle with the required edges
+            L[i][i] += 1
+            L[j][j] += 1
+            L[i][j] -= 1
+            L[j][i] -= 1
     a = [row[1:] for row in L[1:]]
     m = n - 1
     sign = 1
@@ -376,14 +393,7 @@ def max_weight_spanning_tree(
     """
     if len(weights) != graph.n_edges:
         raise GridTreeError("one weight per edge required")
-    uf = UnionFind(graph.n_vertices)
-    picked: list[int] = []
-    for eid in sorted(set(required_edges)):
-        graph.check_edge(eid)
-        u, v = graph.edges[eid]
-        if not uf.union(graph.vertex_index(u), graph.vertex_index(v)):
-            raise InfeasibleConstraintError("required edges contain a cycle")
-        picked.append(eid)
+    picked, uf = _required_forest(graph, required_edges)
     order = sorted(range(graph.n_edges), key=lambda e: (-float(weights[e]), e))
     for eid in order:
         u, v = graph.edges[eid]

@@ -9,6 +9,7 @@ sensor count |M| = circuit_rank(G).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -113,21 +114,30 @@ def naive_identifiability_oracle(
     distribution): structured loads such as exact zeros can collide
     observations even for valid placements.
     """
-    from .flows import tree_edge_flows
-
     x = np.asarray(loads, dtype=float)
     if np.any(x <= 0):
         warnings.warn("nonpositive loads are degenerate for identifiability checks")
-    trees = list(enumerate_spanning_trees(graph))
-    if len(trees) <= 1:
+    flows = _tree_flows(graph, x.tobytes(), x.shape)
+    if len(flows) <= 1:
         return True
     if not placement.edge_ids:
         return False
-    cols = list(placement.edge_ids)
-    obs = np.empty((len(trees), len(cols)))
-    for i, tree in enumerate(trees):
-        obs[i] = tree_edge_flows(graph, tree, x)[cols]
-    return len(np.unique(obs, axis=0)) == len(trees)
+    obs = flows[:, list(placement.edge_ids)]
+    return len(np.unique(obs, axis=0)) == len(flows)
+
+
+@functools.lru_cache(maxsize=1)
+def _tree_flows(graph: Graph, loads: bytes, shape: tuple) -> np.ndarray:
+    """Every spanning tree's edge flows under ``loads`` (float bytes of that
+    shape), one row per tree.  The oracle is asked about many placements of
+    one (graph, loads) pair, and the flows do not depend on the placement, so
+    the last pair's table is kept."""
+    from .flows import tree_edge_flows
+
+    x = np.frombuffer(loads).reshape(shape)
+    flows = np.array([tree_edge_flows(graph, t, x) for t in enumerate_spanning_trees(graph)])
+    flows.setflags(write=False)
+    return flows
 
 
 def minimum_sensor_count(graph: Graph) -> int:

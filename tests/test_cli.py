@@ -195,6 +195,35 @@ class TestDetect:
         assert rc == 1
         assert "--local-search" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["deterministic", "enum"])
+    def test_sigma_on_a_detector_that_reads_only_means_exits_1(
+        self, island, island_files, tmp_path, capsys, method
+    ):
+        gpath, lpath = island_files
+        _, ppath, opath = self._exact_files(island, tmp_path)
+        argv = [
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath),
+            "--method", method, "--require-tau",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--sigma", "5"]) == 1
+        assert "--sigma" in capsys.readouterr().err
+
+    def test_sigma_reaches_the_local_search_after_deterministic(
+        self, island, island_files, tmp_path, capsys
+    ):
+        gpath, lpath = island_files
+        tree, ppath, opath = self._exact_files(island, tmp_path)
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath),
+            "--method", "deterministic", "--require-tau", "--local-search", "--sigma", "0.2",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == tree.label()
+
     def test_non_finite_observation_file_exits_1(self, island, island_files, tmp_path, capsys):
         gpath, lpath = island_files
         _, ppath, opath = self._exact_files(island, tmp_path)

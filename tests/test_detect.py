@@ -33,7 +33,7 @@ from gridtree import (
     zero_flow_statistic,
     zero_flow_transform,
 )
-from gridtree.detect import _PYTHON_ROWS, HypothesisCache, ReducedGaussian, _first_best
+from gridtree.detect import _PYTHON_ROWS, HypothesisCache, ReducedGaussian, _factorise, _first_best
 from conftest import lattice_graph, random_connected_graph
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
@@ -202,6 +202,100 @@ class TestFactorisationMatchesEigenvalueScan:
             self._check(g, trees, pl, model, rng, counts)
         assert 0 < counts["deficient"] < counts["cases"]
         assert counts["inf"] > 0 and counts["finite"] > 0
+
+
+def _bits(x):
+    """``x`` with every float replaced by its hex form, so that == compares bits."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _factors(rg):
+    """Every factor ``_kernel`` reads, as bits."""
+    return _bits([rg.keep.tolist(), rg.dep.tolist(), rg.logdet, rg._centre, rg._whiten, rg._implied])
+
+
+def _numpy_factors(mean, cov):
+    """``_factors`` of one covariance factored by a numpy elimination in
+    coordinate order, one matrix at a time, as ReducedGaussian was built
+    before its factorisation was stacked."""
+    m = len(mean)
+    A = np.array(cov, dtype=float)
+    guard = 1e-12 * float(A.trace())
+    L = np.zeros((m, m))
+    keep = []
+    for j in range(m):
+        if A[j, j] > guard:
+            col = L[j:, j] = A[j:, j] / np.sqrt(A[j, j])
+            A[j:, j:] -= col[:, None] * col
+            keep.append(j)
+    dep = [j for j in range(m) if j not in keep]
+    L = L[:, keep]
+    whiten = np.linalg.inv(L[keep])
+    coef = L[dep] @ whiten
+    offset = mean[dep] - coef @ mean[keep]
+    return _bits([
+        keep,
+        dep,
+        2.0 * float(np.log(L[keep].diagonal()).sum()),
+        [(a, float(mean[a])) for a in keep],
+        [row[: i + 1] for i, row in enumerate(whiten.tolist())],
+        [(j, off, list(zip(keep, c))) for j, off, c in zip(dep, offset.tolist(), coef.tolist())],
+    ])
+
+
+class TestStackedFactorisation:
+    """A Gaussian factored in a stack of mixed ranks has the same factors,
+    bit for bit, as the same Gaussian factored alone, and as a numpy
+    elimination of that one matrix."""
+
+    @staticmethod
+    def _check_cache(graph, trees, placement, model, ranks):
+        stacked = HypothesisCache(graph, placement, model).gaussians(trees)
+        for tree, rg in zip(trees, stacked):
+            dist = hypothesis_flow_distribution(graph, tree, placement, model)
+            alone = ReducedGaussian(dist.mean, dist.covariance)
+            assert _factors(rg) == _factors(alone) == _numpy_factors(dist.mean, dist.covariance)
+        ranks.append({rg.rank for rg in stacked})
+
+    def test_island_trees(self, island, tau_trees, tau_placements):
+        ranks = []
+        for pl in tau_placements[::4]:
+            for model in (island.load_model.with_stddev(0.2), island.load_model.with_cv(5.0)):
+                self._check_cache(island.graph, tau_trees, pl, model, ranks)
+        assert max(map(len, ranks)) > 1
+
+    def test_lattice_trees(self):
+        rng = np.random.default_rng(53)
+        g = lattice_graph(4)
+        n = len(g.load_vertices)
+        ranks = []
+        for k in range(6):
+            trees = [max_weight_spanning_tree(g, rng.random(g.n_edges)) for _ in range(10)]
+            pl = tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges)))
+            variances = np.full(n, 0.04) * (rng.random(n) > 0.3) * (k != 0)  # all exact at k = 0
+            model = LoadModel(g.load_vertices, rng.uniform(0.5, 1.5, n), variances)
+            self._check_cache(g, trees, pl, model, ranks)
+        assert {0} in ranks and max(map(len, ranks)) > 1
+
+    def test_random_rank_deficient_covariances(self):
+        rng = np.random.default_rng(59)
+        seen = set()
+        for _ in range(40):
+            m, k = int(rng.integers(0, 12)), int(rng.integers(1, 9))
+            means = rng.normal(size=(k, m))
+            covs = np.zeros((k, m, m))
+            for cov in covs:
+                B = rng.normal(size=(m, int(rng.integers(0, m + 1))))
+                cov[:] = B @ B.T
+            stacked = [ReducedGaussian(a, c, f) for a, c, f in zip(means, covs, _factorise(means, covs))]
+            for mean, cov, rg in zip(means, covs, stacked):
+                assert _factors(rg) == _factors(ReducedGaussian(mean, cov)) == _numpy_factors(mean, cov)
+                seen.add(rg.rank)
+        assert 0 in seen and max(seen) >= 8  # rank 0, and log-determinants of 8 terms or more
 
 
 class TestOneRowEqualsBatch:

@@ -179,6 +179,25 @@ class TestCounting:
             g = random_connected_graph(rng)
             assert count_spanning_trees(g) == len(list(enumerate_spanning_trees(g)))
 
+    def test_required_edges_are_contracted(self, island):
+        assert count_spanning_trees(island.graph, island.tau) == 44
+        tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c"), ("a", "b")])
+        assert count_spanning_trees(tri, [0]) == 2  # 0 with 1 or with 2
+        assert count_spanning_trees(tri, [0, 1]) == 1
+        assert count_spanning_trees(tri, [1]) == 3  # 1 with 0, with 2 or with 3
+        with pytest.raises(InfeasibleConstraintError):  # parallel edges 0 and 3
+            count_spanning_trees(tri, [0, 3])
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        assert count_spanning_trees(g, [0]) == 0  # disconnected
+
+    def test_required_edges_raise_as_enumeration_does(self, small_corpus):
+        tri = dict(small_corpus)["triangle"]
+        with pytest.raises(InfeasibleConstraintError):
+            count_spanning_trees(tri, [0, 1, 2])
+        for bad in ([7], [-1], [0.5]):
+            with pytest.raises(UnknownEdgeError):
+                count_spanning_trees(tri, bad)
+
 
 class TestMaxWeightSpanningTree:
     def test_prefers_heavy_edges(self, small_corpus):

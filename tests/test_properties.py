@@ -16,6 +16,7 @@ from gridtree import (
     SpanningTree,
     apply_edge_exchange,
     circuit_rank,
+    count_spanning_trees,
     detect_cycle_descent,
     detect_fmst,
     detect_map,
@@ -59,6 +60,28 @@ def test_map_is_brute_force_argmax_and_zero_flow_choice(seed, sigma):
     assert r.iterations == len(trees)
     assert r.pruned == scores.count(float("-inf"))
     assert detect_zero_flow_map(graph, placement, model, s).tree == r.tree
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), share=st.floats(0.0, 1.0))
+def test_contracted_count_equals_enumeration(seed, share):
+    """``count_spanning_trees`` with required edges counts what enumeration
+    yields, on random multigraphs with a random required forest (a random
+    subset of a random spanning tree); the forest with one more edge, which
+    closes a cycle, raises the same error in both."""
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng)
+    tree = max_weight_spanning_tree(graph, rng.random(graph.n_edges))
+    forest = [e for e in sorted(tree.edge_ids) if rng.random() < share]
+    assert count_spanning_trees(graph, forest) == len(list(enumerate_spanning_trees(graph, forest)))
+    closing = [e for e in range(graph.n_edges) if e not in tree.edge_ids]
+    if closing:
+        cyclic = sorted(tree.edge_ids) + [int(rng.choice(closing))]
+        with pytest.raises(GridTreeError) as enumerated:
+            list(enumerate_spanning_trees(graph, cyclic))
+        with pytest.raises(GridTreeError) as counted:
+            count_spanning_trees(graph, cyclic)
+        assert type(counted.value) is type(enumerated.value)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

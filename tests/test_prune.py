@@ -9,11 +9,14 @@ import pytest
 import gridtree.detect
 from gridtree import (
     GridTreeError,
+    InfeasibleConstraintError,
     InvalidPlacementError,
     LoadModel,
     ModelError,
+    NoFeasibleHypothesisError,
     Placement,
     SpanningTree,
+    count_spanning_trees,
     detect_cycle_descent,
     detect_deterministic,
     detect_enumeration_oracle,
@@ -26,6 +29,7 @@ from gridtree import (
     local_map_search,
     max_weight_spanning_tree,
     tree_to_placement,
+    UnknownEdgeError,
 )
 from gridtree.detect import HypothesisCache, _sensor_support
 from conftest import lattice_graph
@@ -175,6 +179,49 @@ class TestPrunedTreesNotBuilt:
         r = detect_map(g, pl, model, s, restriction=island.tau)
         assert r.tree == true
         assert (r.iterations, len(builds)) == (44, holding)
+
+
+class TestSupportOnlyEnumeration:
+    """``detect_map`` enumerates the trees holding ``restriction`` and the
+    sensor support, and counts the rest."""
+
+    def test_cyclic_support_raises_no_feasible_hypothesis(self, island, lattice3):
+        g, pl = island.graph, Placement((5, 6, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        s = np.array([1.0, 1.0, 0.0, 0.0])
+        support = _sensor_support(pl, model, s)
+        assert support == {5, 6}
+        with pytest.raises(InfeasibleConstraintError):  # vr-F2-v1-F1-vr with root edges 0 and 1
+            list(enumerate_spanning_trees(g, island.tau | support))
+        assert count_spanning_trees(g, island.tau) == 44
+        with pytest.raises(NoFeasibleHypothesisError):
+            detect_map(g, pl, model, s, restriction=island.tau)
+        # the support alone closing a cycle: the lattice's sensor edges hold one
+        pl = Placement(tuple(range(lattice3.n_edges)))
+        model = LoadModel(lattice3.load_vertices, np.ones(8), np.full(8, 0.04))
+        with pytest.raises(NoFeasibleHypothesisError):
+            detect_map(lattice3, pl, model, np.ones(lattice3.n_edges))
+
+    def test_restriction_errors_are_unchanged(self, island):
+        g, pl = island.graph, Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        s = hypothesis_flow(g, next(enumerate_spanning_trees(g, island.tau)), pl, model.means)
+        with pytest.raises(InfeasibleConstraintError):
+            detect_map(g, pl, model, s, restriction=range(g.n_edges))
+        with pytest.raises(UnknownEdgeError):
+            detect_map(g, pl, model, s, restriction=[g.n_edges])
+
+    def test_iterations_count_and_pruned_on_the_lattice(self, lattice3):
+        rng = np.random.default_rng(61)
+        trees = list(enumerate_spanning_trees(lattice3))
+        for _ in range(6):
+            pl, model, s, _ = _snapshot(lattice3, rng)
+            cache = HypothesisCache(lattice3, pl, model)
+            scores = [cache.loglik(t, s) for t in trees]
+            r = detect_map(lattice3, pl, model, s)
+            assert r.iterations == 192
+            assert r.pruned == scores.count(float("-inf"))
+            assert r.tree == trees[int(np.argmax(scores))]
 
 
 class TestPrunedCallsStillCheckInputs:
