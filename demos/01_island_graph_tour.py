@@ -1,4 +1,5 @@
-"""Tour of the island-graph model: vertices, edges, trees, and cycle algebra.
+"""Tour of the island-graph model: vertices, edges, trees, fundamental cycles
+and edge exchanges.
 
 A switched feeder reduces to a small multigraph: load islands and feeders
 become vertices, switches become edges, and a virtual root feeds every

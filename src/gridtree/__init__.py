@@ -34,16 +34,12 @@ from .graph import (
 )
 from .cycles import (
     Cycle,
-    CycleMeasurementMap,
     EdgeExchange,
     ExchangeMove,
     FundamentalCycleBasis,
     apply_edge_exchange,
-    cycle_measurement_map,
-    cycle_xor,
     encode_edge_exchange,
     fundamental_cycle_basis,
-    is_cycle,
 )
 from .placement import (
     Placement,
@@ -67,7 +63,6 @@ from .flows import (
     observation_matrix,
     observation_matrix_from_incidence,
     relaxed_flow_solution,
-    sample_loads,
     tree_edge_flows,
 )
 from .fixture import IslandFixture, build_island_fixture

@@ -1,20 +1,17 @@
-"""Cycle-space machinery: fundamental bases, XOR algebra, sensor maps, edge exchanges.
+"""Cycle-space machinery: fundamental cycle bases and edge exchanges.
 
-Cycles live in GF(2)^|E|: a cycle is an edge set in which every touched vertex
-has degree exactly two and the edges form a single closed walk.  Symmetric
-difference is the vector addition of this space; it is closed over the cycle
-space but not over single cycles, so XOR results carry a validity flag.
-A fundamental cycle is found on the tree rooted by ``graph.root_tree`` by
-walking both ends of its co-tree edge up to their lowest common ancestor.
+A cycle is stored as its edge set.  A fundamental cycle is found on the tree
+rooted by ``graph.root_tree`` by walking both ends of its co-tree edge up to
+their lowest common ancestor.  The sensors a cycle carries are the
+intersection of its edge set with the placement's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 from .errors import InternalInvariantError, NotASpanningTreeError
-from .graph import Graph, SpanningTree, UnionFind, is_spanning_tree, root_tree
+from .graph import Graph, SpanningTree, is_spanning_tree, root_tree
 
 
 @dataclass(frozen=True)
@@ -30,44 +27,6 @@ class Cycle:
         return len(self.edges)
 
 
-def is_cycle(graph: Graph, edge_ids: Iterable[int]) -> bool:
-    """True iff the edges form one nonempty closed walk with all degrees 2."""
-    ids = set(edge_ids)
-    if not ids:
-        return False
-    degree: dict = {}
-    for eid in ids:
-        u, v = graph.endpoints(eid)
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        return False
-    verts = {v: i for i, v in enumerate(degree)}
-    uf = UnionFind(len(verts))
-    for eid in ids:
-        u, v = graph.endpoints(eid)
-        uf.union(verts[u], verts[v])
-    return uf.n_components == 1
-
-
-class XorResult(NamedTuple):
-    edges: frozenset[int]
-    is_cycle: bool
-
-
-def cycle_xor(graph: Graph, a: Cycle | Iterable[int], b: Cycle | Iterable[int]) -> XorResult:
-    """Symmetric difference of two cycles.
-
-    The result is either a single cycle, the empty set (a == b), or an
-    edge-disjoint union of cycles; callers that need a single cycle must
-    check the flag.
-    """
-    ea = a.edges if isinstance(a, Cycle) else frozenset(a)
-    eb = b.edges if isinstance(b, Cycle) else frozenset(b)
-    out = ea ^ eb
-    return XorResult(frozenset(out), is_cycle(graph, out))
-
-
 # -- fundamental cycle bases ----------------------------------------------
 
 
@@ -81,9 +40,6 @@ class FundamentalCycleBasis:
 
     cycles: tuple[Cycle, ...]
     generators: tuple[int, ...]
-
-    def cycle_of(self, generator_edge: int) -> Cycle:
-        return self.cycles[self.generators.index(generator_edge)]
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -109,28 +65,6 @@ def fundamental_cycle_basis(graph: Graph, tree: SpanningTree) -> FundamentalCycl
             path.add(eb)
         cycles.append(Cycle(frozenset(path) | {g}))
     return FundamentalCycleBasis(tuple(cycles), generators)
-
-
-# -- cycle-measurement maps ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CycleMeasurementMap:
-    """For each basis cycle, the measured edges lying on it."""
-
-    sensors_per_cycle: tuple[frozenset[int], ...]
-
-    def __getitem__(self, k: int) -> frozenset[int]:
-        return self.sensors_per_cycle[k]
-
-    def __len__(self) -> int:
-        return len(self.sensors_per_cycle)
-
-
-def cycle_measurement_map(basis: FundamentalCycleBasis, placement) -> CycleMeasurementMap:
-    """Intersect every basis cycle with the measured edge set."""
-    measured = frozenset(placement.edge_ids)
-    return CycleMeasurementMap(tuple(c.edges & measured for c in basis.cycles))
 
 
 # -- edge exchanges ---------------------------------------------------------

@@ -18,10 +18,11 @@ built alone being a stack of one; its factors have the same bits either way.
 
 A HypothesisBank numbers trees and scores them on a block of readings, one
 row per observation.  Cycle descent and the local search are both
-single-edge-exchange walks over its one neighbour table: each move is one
-``_step``, the first best of a tree and its neighbours along one basis
-cycle (``_descent_walk``, once per slot and sweep) or along every cycle
-where the exchange keeps the basis (``_local_walk``, once).  The walks run
+single-edge-exchange walks over its neighbour rows, which it makes only
+for the (tree, slot) pairs a walk asks for: each move is one ``_step``,
+the first best of a tree and its neighbours along one basis cycle
+(``_descent_walk``, once per slot and sweep) or along every cycle where
+the exchange keeps the basis (``_local_walk``, once).  The walks run
 on one row for ``detect_cycle_descent`` and ``local_map_search`` and on
 every loaded row for the Monte Carlo sweep, a row without a tree (-1)
 staying at -1.
@@ -719,27 +720,27 @@ class HypothesisBank:
     ``required_edges`` are the edges no exchange removes, and the restriction
     the starts and the row-by-row detectors get.
 
-    Per tree the bank keeps one neighbour table of ``mu + 1`` rows of tree
-    numbers (``mu`` the circuit rank, at least 1), each row the tree itself
-    and then its exchanges, padded with -1, and each filled on first use by
-    ``neighbours``.  Row ``k < mu`` holds the exchanges along basis cycle
-    ``k`` in ``sorted(out)`` order (none past the last basis cycle), the
-    candidates of cycle descent's slot ``k``; row ``mu`` holds the local
-    search's neighbourhood, the exchanges that take out no edge shared by
-    two basis cycles.  Per loaded row the bank keeps the sensor support
-    (``_support_mask``).  A tree's score column is filled on first use, and
-    only the rows whose support the tree holds are scored; every other row
-    scores -inf, which ``_sensor_support`` shows is exact.  A tree holding
-    the support edges of every row scores every row, and one lacking an
-    edge that every row's support has scores none; only the trees between
-    the two read the mask, so a one-row load never does.  Memory per loaded
-    block is one float per (row, numbered tree); the neighbour table, once
-    made, holds ``(mu + 1) * |V|`` integers per numbered tree.
-
-    Every per-tree table has one spare last entry, which number -1 reads: it
+    A tree has ``mu + 1`` neighbour rows of tree numbers (``mu`` the circuit
+    rank, at least 1), each the tree itself and then its exchanges, padded
+    with -1.  Row ``k < mu`` holds the exchanges along basis cycle ``k`` in
+    ``sorted(out)`` order (none past the last basis cycle), the candidates
+    of cycle descent's slot ``k``; row ``mu`` holds the local search's
+    neighbourhood, the exchanges that take out no edge shared by two basis
+    cycles.  ``neighbours`` makes a row the first time a walk asks for it,
+    so the rows held, ``|V|`` integers each, follow the (tree, slot) pairs
+    asked for, not the trees numbered.  Number -1 reads a row of -1s: it
     stands for no tree, scores -inf and has no neighbours, so a walk from -1
-    stays at -1.  In the neighbour table -2 marks a row not yet filled and -1
-    pads; NaN marks a score not yet filled.
+    stays at -1.
+
+    Per loaded row the bank keeps the sensor support (``_support_mask``).  A
+    tree's score column is filled on first use, and only the rows whose
+    support the tree holds are scored; every other row scores -inf, which
+    ``_sensor_support`` shows is exact.  A tree holding the support edges of
+    every row scores every row, and one lacking an edge that every row's
+    support has scores none; only the trees between the two read the mask,
+    so a one-row load never does.  Memory per loaded block is one float per
+    (row, numbered tree), NaN until scored, and a spare last entry that
+    number -1 reads.
     """
 
     def __init__(
@@ -761,7 +762,9 @@ class HypothesisBank:
         self.trees: list[SpanningTree] = []
         self._numbers: dict[frozenset, int] = {}
         self._capacity = len(trees) or 64
-        self._hoods: np.ndarray | None = None  # the neighbour table, made on first use
+        # per slot: the neighbour rows made so far, stacked, and the row of
+        # each tree number; row 0, all -1, is number -1's
+        self._hoods = [(np.full((1, self._width), -1, dtype=np.intp), {-1: 0}) for _ in range(self.mu + 1)]
         self._starts: dict[bytes, int] = {}
         if readings is None:
             readings = np.zeros((0, len(cache.placement.edge_ids)))
@@ -780,16 +783,10 @@ class HypothesisBank:
         return i
 
     def _reserve(self, capacity: int) -> None:
-        def grown(a, fill):
-            out = np.full((capacity + 1,) + a.shape[1:], fill, dtype=a.dtype)
-            out[: self._capacity] = a[:-1]
-            out[-1] = a[-1]
-            return out
-
-        self._scores = grown(self._scores, np.nan)
-        if self._hoods is not None:
-            self._hoods = grown(self._hoods, -2)
-        self._capacity = capacity
+        scores = np.full((capacity + 1, len(self.readings)), np.nan)
+        scores[: self._capacity] = self._scores[:-1]
+        scores[-1] = _NEG_INF
+        self._scores, self._capacity = scores, capacity
 
     def load(self, readings: np.ndarray) -> None:
         """Make ``readings`` (one row per observation) the block that is scored."""
@@ -838,14 +835,13 @@ class HypothesisBank:
         return scores
 
     def neighbours(self, ids: np.ndarray, slot: int) -> np.ndarray:
-        """Row ``slot`` of the neighbour table of each tree in ``ids``."""
-        if self._hoods is None:
-            self._hoods = np.full((self._capacity + 1, self.mu + 1, self._width), -2, dtype=np.intp)
-            self._hoods[-1] = -1
-        hoods = self._hoods[ids, slot]
-        todo = hoods[:, 0] == -2
-        if todo.any():
-            for i in dict.fromkeys(ids[todo].tolist()):
+        """Neighbour row ``slot`` of each tree in ``ids``."""
+        table, row_of = self._hoods[slot]
+        ids = ids.tolist()
+        new = [i for i in dict.fromkeys(ids) if i not in row_of]
+        if new:
+            rows = np.full((len(new), self._width), -1, dtype=np.intp)
+            for k, i in enumerate(new):
                 basis = self.cache.basis(self.trees[i])
                 gens, cycles = basis.generators, basis.cycles
                 shared = set()  # edges on two basis cycles, which the local search keeps
@@ -861,9 +857,11 @@ class HypothesisBank:
                 for gen, cyc in zip(gens, cycles):
                     outs = sorted(cyc.edges - {gen} - self.required - shared)
                     row += [self.number(SpanningTree((edges - {out}) | {gen})) for out in outs]
-                self._hoods[i, slot] = row + [-1] * (self._width - len(row))
-            hoods = self._hoods[ids, slot]
-        return hoods
+                rows[k, : len(row)] = row
+                row_of[i] = len(table) + k
+            table = np.concatenate([table, rows])
+            self._hoods[slot] = table, row_of
+        return table[[row_of[i] for i in ids]]
 
     def starts(self) -> np.ndarray:
         """Number of ``feasible_tree`` of each loaded row, -1 where it raises;

@@ -189,8 +189,3 @@ def write_loads(model: LoadModel, path) -> None:
 def read_observation(path) -> np.ndarray:
     with open(path) as fh:
         return parse_observation(fh.read())
-
-
-def write_observation(values, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_observation(values))

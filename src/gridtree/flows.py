@@ -63,12 +63,6 @@ class LoadModel:
             raise ModelError("load model nodes must match the graph's load vertices in order")
 
 
-def sample_loads(model: LoadModel, seed: int) -> np.ndarray:
-    """One independent Gaussian draw per node; identical seeds give identical vectors."""
-    rng = np.random.default_rng(seed)
-    return model.means + model.stddevs * rng.standard_normal(len(model.nodes))
-
-
 def consumption_vector(graph: Graph, loads: Sequence[float]) -> np.ndarray:
     """Net injection per vertex: total at the root, -load at load vertices; sums to zero."""
     x = np.asarray(loads, dtype=float)

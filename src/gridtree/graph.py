@@ -108,11 +108,6 @@ class Graph:
             if len(set(self.load_vertices)) != len(self.load_vertices):
                 raise MalformedGraphError("duplicate load vertices")
 
-        self._edges_at: dict[Hashable, list[int]] = {v: [] for v in self.vertices}
-        for eid, (u, v) in enumerate(self.edges):
-            self._edges_at[u].append(eid)
-            self._edges_at[v].append(eid)
-
     # -- basic accessors ------------------------------------------------
 
     @property
@@ -144,23 +139,13 @@ class Graph:
     def root_index(self) -> int:
         return self._vidx[self.root]
 
-    def endpoints(self, eid: int) -> tuple[Hashable, Hashable]:
-        self.check_edge(eid)
-        return self.edges[eid]
-
     def check_edge(self, eid: int) -> None:
         if not isinstance(eid, (int, np.integer)) or not 0 <= eid < len(self.edges):
             raise UnknownEdgeError(f"unknown edge id {eid!r}")
 
-    def edges_at(self, v: Hashable) -> tuple[int, ...]:
-        return tuple(self._edges_at[v])
-
-    def degree(self, v: Hashable) -> int:
-        return len(self._edges_at[v])
-
     def root_edges(self) -> frozenset[int]:
         """Edges incident to the root (the mandatory subtree in feeder graphs)."""
-        return frozenset(self._edges_at[self.root])
+        return frozenset(eid for eid, ends in enumerate(self.edges) if self.root in ends)
 
     def with_load_vertices(self, load_vertices: Sequence[Hashable]) -> "Graph":
         return Graph(self.vertices, self.edges, root=self.root, load_vertices=load_vertices)
@@ -178,11 +163,6 @@ class SpanningTree:
     @property
     def sorted_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_ids))
-
-    def indicator(self, graph: Graph) -> np.ndarray:
-        w = np.zeros(graph.n_edges, dtype=bool)
-        w[list(self.edge_ids)] = True
-        return w
 
     def cotree(self, graph: Graph) -> tuple[int, ...]:
         return tuple(e for e in range(graph.n_edges) if e not in self.edge_ids)

@@ -15,10 +15,12 @@ batch size at which scoring switches from Python floats to numpy columns.
 fmst + ``local_map_search``: the tree, ``float.hex`` of the
 log-likelihood, ``iterations``, ``pruned`` and ``converged``, or the error
 class.  The inputs are seeded island observations (placement 6 7 10 12,
-the root edges required, sigma 0.2) and 3x3 and 4x4 lattice snapshots made
-by ``test_prune._snapshot``; every third reading set carries 1e-6 noise.
-On the 4x4 lattice MAP and the zero-flow test search the trees holding all
-but four edges of the true tree, as ``test_prune`` does.
+the root edges required, sigma 0.2) and 3x3, 4x4 and 5x5 lattice snapshots
+made by ``test_prune._snapshot``; every third reading set carries 1e-6
+noise.  On the 4x4 and 5x5 lattices MAP and the zero-flow test search the
+trees holding all but four edges of the true tree, as ``test_prune`` does;
+the per-call walks on 5x5 number more trees than a bank first makes room
+for.
 
 Two checkouts can then be compared file by file with ``cmp``.  The file
 name keeps it out of pytest collection.
@@ -111,7 +113,7 @@ def _detect_calls(island, trees) -> str:
             s = s + 1e-6 * rng.standard_normal(len(s))
         calls = _calls(island.graph, pl, model, s, island.tau, island.tau)
         lines += [f"island {k} {line}" for line in calls]
-    for n, count in ((3, 30), (4, 12)):
+    for n, count in ((3, 30), (4, 12), (5, 6)):
         graph = lattice_graph(n)
         rng = np.random.default_rng(50 + n)
         for k in range(count):

@@ -10,13 +10,10 @@ from gridtree import (
     apply_edge_exchange,
     circuit_rank,
     count_spanning_trees,
-    cycle_measurement_map,
-    cycle_xor,
     encode_edge_exchange,
     enumerate_spanning_trees,
     enumerate_valid_placements,
     fundamental_cycle_basis,
-    is_cycle,
 )
 
 # Spanning trees of the island graph used throughout: the bench tree drops
@@ -31,24 +28,6 @@ def bench_tree(graph):
 
 def partner_tree(graph):
     return SpanningTree(frozenset(range(graph.n_edges)) - PARTNER_COTREE)
-
-
-class TestIsCycle:
-    def test_triangle(self, small_corpus):
-        tri = dict(small_corpus)["triangle"]
-        assert is_cycle(tri, [0, 1, 2])
-        assert not is_cycle(tri, [0, 1])
-        assert not is_cycle(tri, [])
-
-    def test_parallel_pair_is_a_two_cycle(self, small_corpus):
-        dt = dict(small_corpus)["double_triangle"]
-        assert is_cycle(dt, [0, 1])
-
-    def test_disjoint_union_is_not_a_single_cycle(self, island):
-        # quad around v1's feeders plus the quad around v4's feeders
-        assert is_cycle(island.graph, [0, 1, 5, 6])
-        assert is_cycle(island.graph, [2, 3, 4, 7])
-        assert not is_cycle(island.graph, [0, 1, 5, 6, 2, 3, 4, 7])
 
 
 class TestFundamentalCycleBasis:
@@ -107,66 +86,28 @@ class TestFundamentalCycleBasis:
             fundamental_cycle_basis(g, SpanningTree(tree.edge_ids - {off} | {99}))
 
 
-class TestCycleXor:
-    def test_island_textbook_example(self, island):
-        # quad through the v1 feeders XOR the hexagon through v3:
-        # shared edges {1, 5} drop out, leaving a single six-edge cycle
-        a = frozenset({6, 0, 1, 5})
-        b = frozenset({5, 1, 2, 4, 12, 11})
-        out = cycle_xor(island.graph, a, b)
-        assert out.edges == frozenset({6, 0, 2, 4, 12, 11})
-        assert out.is_cycle
-
-    def test_self_inverse(self, island):
-        a = frozenset({6, 0, 1, 5})
-        out = cycle_xor(island.graph, a, a)
-        assert out.edges == frozenset()
-        assert not out.is_cycle
-
-    def test_identity(self, island):
-        a = frozenset({6, 0, 1, 5})
-        out = cycle_xor(island.graph, a, frozenset())
-        assert out.edges == a
-        assert out.is_cycle
-
-    def test_edge_disjoint_cycles_flagged(self, island):
-        out = cycle_xor(island.graph, frozenset({0, 1, 5, 6}), frozenset({2, 3, 4, 7}))
-        assert out.edges == frozenset({0, 1, 5, 6, 2, 3, 4, 7})
-        assert not out.is_cycle
-
-    def test_xor_of_basis_cycles_matches_other_basis(self, island):
-        # combining the v1-quad with the hexagon generated by edge 11 yields
-        # the hexagon of the partner basis generated by edge 12
-        basis = fundamental_cycle_basis(island.graph, bench_tree(island.graph))
-        quad = basis.cycle_of(5)
-        hexagon = basis.cycle_of(11)
-        out = cycle_xor(island.graph, quad, hexagon)
-        partner = fundamental_cycle_basis(island.graph, partner_tree(island.graph))
-        assert out.edges == partner.cycle_of(12).edges
-        assert out.is_cycle
+def _sensors_per_cycle(basis, placement):
+    """The sensors on each basis cycle, in basis order."""
+    return [cyc.edges & placement.edge_set for cyc in basis.cycles]
 
 
 class TestCycleMeasurementMap:
+    """The sensors each fundamental cycle carries, and what a valid placement
+    makes of them."""
+
     def test_partner_cotree_sensors(self, island):
         basis = fundamental_cycle_basis(island.graph, bench_tree(island.graph))
-        kmap = cycle_measurement_map(basis, Placement((4, 6, 8, 12)))
-        by_gen = dict(zip(basis.generators, kmap.sensors_per_cycle))
+        by_gen = dict(zip(basis.generators, _sensors_per_cycle(basis, Placement((4, 6, 8, 12)))))
         assert by_gen[4] == frozenset({4})
         assert by_gen[5] == frozenset({6})
         assert by_gen[8] == frozenset({6, 8})
         assert by_gen[11] == frozenset({6, 12})
 
-    def test_empty_placement(self, island):
-        basis = fundamental_cycle_basis(island.graph, bench_tree(island.graph))
-        kmap = cycle_measurement_map(basis, Placement(()))
-        assert all(s == frozenset() for s in kmap.sensors_per_cycle)
-
     def test_own_cotree_gives_singletons(self, island):
         for tree in list(enumerate_spanning_trees(island.graph, island.tau))[:6]:
             cot = tuple(sorted(tree.cotree(island.graph)))
             basis = fundamental_cycle_basis(island.graph, tree)
-            kmap = cycle_measurement_map(basis, Placement(cot))
-            for gen, sensors in zip(basis.generators, kmap.sensors_per_cycle):
+            for gen, sensors in zip(basis.generators, _sensors_per_cycle(basis, Placement(cot))):
                 assert sensors == frozenset({gen})
 
     def test_any_cycle_is_xor_of_its_sensor_generators(self, island):
@@ -183,8 +124,7 @@ class TestCycleMeasurementMap:
             lam = dict(zip(own.generators, own.cycles))
             for tree in other_trees:
                 basis = fundamental_cycle_basis(graph, tree)
-                kmap = cycle_measurement_map(basis, pl)
-                for cyc, sensors in zip(basis.cycles, kmap.sensors_per_cycle):
+                for cyc, sensors in zip(basis.cycles, _sensors_per_cycle(basis, pl)):
                     acc = frozenset()
                     for s in sensors:
                         acc = acc ^ lam[s].edges
@@ -200,13 +140,13 @@ class TestCycleMeasurementMap:
         for pl in placements:
             for tree in trees:
                 basis = fundamental_cycle_basis(graph, tree)
-                kmap = cycle_measurement_map(basis, pl)
+                sensors = _sensors_per_cycle(basis, pl)
                 seen = {}
                 for bits in itertools.product((0, 1), repeat=len(basis)):
                     u = frozenset()
                     for k, b in enumerate(bits):
                         if b:
-                            u = u ^ kmap[k]
+                            u = u ^ sensors[k]
                     assert u not in seen, (
                         f"placement {pl.edge_ids}: subsets {seen[u]} and {bits} "
                         f"combine to the same sensor set"
@@ -222,29 +162,31 @@ class TestCycleMeasurementMap:
         for pl in placements:
             for tree in trees:
                 basis = fundamental_cycle_basis(graph, tree)
-                kmap = cycle_measurement_map(basis, pl)
+                sensors = _sensors_per_cycle(basis, pl)
                 idx = range(len(basis))
                 for r in range(1, len(basis) + 1):
                     for subset in itertools.combinations(idx, r):
-                        union = frozenset().union(*(kmap[k] for k in subset))
+                        union = frozenset().union(*(sensors[k] for k in subset))
                         assert len(union) >= r
 
     def test_sensor_sets_dependent_for_invalid_placement(self, island):
         # two sensors on the root edges leave two basis cycles with the same
-        # sensor set, so their symmetric differences collide
+        # sensor set, and no sensors leave every set empty: either way their
+        # symmetric differences collide
         basis = fundamental_cycle_basis(island.graph, bench_tree(island.graph))
-        kmap = cycle_measurement_map(basis, Placement((0, 3)))
-        seen = set()
-        collision = False
-        for bits in itertools.product((0, 1), repeat=len(basis)):
-            u = frozenset()
-            for k, b in enumerate(bits):
-                if b:
-                    u = u ^ kmap[k]
-            if u in seen:
-                collision = True
-            seen.add(u)
-        assert collision
+        for pl in (Placement((0, 3)), Placement(())):
+            sensors = _sensors_per_cycle(basis, pl)
+            seen = set()
+            collision = False
+            for bits in itertools.product((0, 1), repeat=len(basis)):
+                u = frozenset()
+                for k, b in enumerate(bits):
+                    if b:
+                        u = u ^ sensors[k]
+                if u in seen:
+                    collision = True
+                seen.add(u)
+            assert collision
 
 
 class TestEdgeExchange:

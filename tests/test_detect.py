@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +34,18 @@ from gridtree import (
     zero_flow_statistic,
     zero_flow_transform,
 )
-from gridtree.detect import _PYTHON_ROWS, HypothesisCache, ReducedGaussian, _factorise, _first_best
+from gridtree.detect import (
+    _PYTHON_ROWS,
+    HypothesisBank,
+    HypothesisCache,
+    ReducedGaussian,
+    _descent_walk,
+    _factorise,
+    _first_best,
+    _local_walk,
+)
 from conftest import lattice_graph, random_connected_graph
+from test_prune import _snapshot
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
 
@@ -938,6 +949,26 @@ class TestLocalSearch:
             seed_misses += f.tree.edge_ids != true.edge_ids
             refined_misses += r.tree.edge_ids != true.edge_ids
         assert refined_misses <= seed_misses
+
+
+class TestBankMemory:
+    def test_walks_hold_neighbour_rows_only_for_the_trees_they_visit(self):
+        # a bank over all 100,352 trees of the 4x4 lattice: a dense neighbour
+        # table over them would take 129 MB; the walks visit a few dozen trees
+        graph = lattice_graph(4)
+        placement, model, s, _ = _snapshot(graph, np.random.default_rng(5))
+        cache = HypothesisCache(graph, placement, model)
+        bank = HypothesisBank(cache, trees=list(enumerate_spanning_trees(graph)), readings=s[None])
+        tracemalloc.start()
+        try:
+            starts = bank.starts()
+            picks = _descent_walk(bank, starts)[0]
+            _local_walk(bank, picks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts[0] >= 0
+        assert peak < 8e6
 
 
 class TestZeroFlowCache:

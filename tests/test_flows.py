@@ -21,7 +21,6 @@ from gridtree import (
     observation_matrix,
     observation_matrix_from_incidence,
     relaxed_flow_solution,
-    sample_loads,
     tree_edge_flows,
 )
 from gridtree import NotASpanningTreeError, UnknownEdgeError, is_spanning_tree
@@ -57,28 +56,6 @@ class TestLoadModel:
         wrong = LoadModel(("v5", "v4", "v3", "v2", "v1"), np.ones(5), np.zeros(5))
         with pytest.raises(ModelError):
             wrong.check_graph(island.graph)
-
-
-class TestSampleLoads:
-    def test_zero_variance_returns_means(self, island):
-        x = sample_loads(island.load_model, seed=3)
-        assert np.array_equal(x, island.load_model.means)
-
-    def test_same_seed_same_draw(self, island):
-        m = island.load_model.with_stddev(0.5)
-        assert np.array_equal(sample_loads(m, seed=9), sample_loads(m, seed=9))
-        assert not np.array_equal(sample_loads(m, seed=9), sample_loads(m, seed=10))
-
-    def test_sample_mean_near_forecast(self, island):
-        m = island.load_model.with_stddev(0.3)
-        n = 100_000
-        draws = np.stack([sample_loads(m, seed=s) for s in range(200)])
-        # cheaper equivalent of one huge draw: one generator, many samples
-        rng = np.random.default_rng(123)
-        big = m.means + 0.3 * rng.standard_normal((n, 5))
-        bound = 4 * 0.3 / math.sqrt(n)
-        assert np.all(np.abs(big.mean(axis=0) - m.means) < bound)
-        assert draws.shape == (200, 5)
 
 
 class TestConsumptionVector:
@@ -305,7 +282,7 @@ class TestIslandFixture:
 
     def test_tau_edges_touch_root(self, island):
         for eid in island.tau:
-            assert "vr" in island.graph.endpoints(eid)
+            assert "vr" in island.graph.edges[eid]
 
 
 class TestRejectsEdgeSetsThatAreNotTrees:

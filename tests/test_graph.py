@@ -224,8 +224,7 @@ class TestMaxWeightSpanningTree:
 def test_spanning_tree_helpers(island):
     t = next(iter(enumerate_spanning_trees(island.graph, island.tau)))
     assert t.sorted_ids == tuple(sorted(t.edge_ids))
-    w = t.indicator(island.graph)
-    assert w.sum() == 9
+    assert len(t.edge_ids) == 9
     assert set(t.cotree(island.graph)) == set(range(13)) - set(t.edge_ids)
     assert t.label() == " ".join(str(e) for e in t.sorted_ids)
 

@@ -36,7 +36,8 @@ from gridtree import (
     tree_to_placement,
 )
 from gridtree.detect import _PYTHON_ROWS, HypothesisBank, HypothesisCache
-from conftest import random_connected_graph
+from conftest import lattice_graph, random_connected_graph
+from test_prune import _snapshot
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -238,6 +239,24 @@ def _reference_local(graph, placement, model, s, seed_tree, required):
     return best_tree, best_ll, size
 
 
+def _check_walks(graph, placement, model, s, required, seed_tree):
+    """detect_cycle_descent and local_map_search give what the reference loops give."""
+    try:
+        want = _reference_descent(graph, placement, model, s, required)
+    except GridTreeError as exc:
+        want = type(exc)
+    try:
+        r = detect_cycle_descent(graph, placement, model, s, required_edges=required)
+        got = (r.tree, r.log_likelihood, r.iterations, r.converged)
+    except GridTreeError as exc:
+        got = type(exc)
+    assert got == want
+    r = local_map_search(graph, placement, model, s, seed_tree, required_edges=required)
+    assert (r.tree, r.log_likelihood, r.iterations) == _reference_local(
+        graph, placement, model, s, seed_tree, required
+    )
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), sigma=st.floats(0.05, 0.5))
 def test_walks_equal_the_reference_loops(seed, sigma):
@@ -250,18 +269,26 @@ def test_walks_equal_the_reference_loops(seed, sigma):
     s = hypothesis_flow(graph, true, placement, means + sigma * rng.standard_normal(len(means)))
     if rng.random() < 0.25:  # no tree matches exactly
         s = s + 1e-6 * rng.standard_normal(len(s))
-    try:
-        want = _reference_descent(graph, placement, model, s, required)
-    except GridTreeError as exc:
-        want = type(exc)
-    try:
-        r = detect_cycle_descent(graph, placement, model, s, required_edges=required)
-        got = (r.tree, r.log_likelihood, r.iterations, r.converged)
-    except GridTreeError as exc:
-        got = type(exc)
-    assert got == want
     seed_tree = max_weight_spanning_tree(graph, rng.random(graph.n_edges), required)
-    r = local_map_search(graph, placement, model, s, seed_tree, required_edges=required)
-    assert (r.tree, r.log_likelihood, r.iterations) == _reference_local(
-        graph, placement, model, s, seed_tree, required
-    )
+    _check_walks(graph, placement, model, s, required, seed_tree)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_walks_equal_the_reference_loops(seed, monkeypatch):
+    # a per-call walk on the 5x5 lattice numbers more trees than a bank
+    # first makes room for, so the bank grows while the walk runs
+    grown = []
+    reserve = HypothesisBank._reserve
+
+    def reserve_and_check(bank, capacity):
+        reserve(bank, capacity)
+        grown.append(capacity)
+        assert bank.score(0, np.array([-1])) == float("-inf")  # number -1 is no tree
+
+    monkeypatch.setattr(HypothesisBank, "_reserve", reserve_and_check)
+    rng = np.random.default_rng(seed)
+    graph = lattice_graph(5)
+    placement, model, s, _ = _snapshot(graph, rng)
+    seed_tree = max_weight_spanning_tree(graph, rng.random(graph.n_edges))
+    _check_walks(graph, placement, model, s, frozenset(), seed_tree)
+    assert grown

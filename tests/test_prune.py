@@ -246,9 +246,13 @@ class TestPrunedCallsStillCheckInputs:
 
     def test_mismatched_model_raises_when_every_tree_is_pruned(self, island):
         g = island.graph
-        pl = Placement((6, 7, 10, 12))
+        pl = Placement((5, 6, 10, 12))
         wrong = LoadModel(("a", "b", "c", "d", "e"), np.ones(5), np.full(5, 0.04))
-        s = np.ones(4)  # no tree holds all four sensor edges
+        s = np.array([1.0, 1.0, 0.0, 0.0])
+        support = _sensor_support(pl, wrong, s)
+        assert support == {5, 6}  # a cycle with the root edges: no tree holds it
+        with pytest.raises(InfeasibleConstraintError):
+            list(enumerate_spanning_trees(g, island.tau | support))
         with pytest.raises(ModelError):
             detect_map(g, pl, wrong, s, restriction=island.tau)
         with pytest.raises(ModelError):
