@@ -103,6 +103,10 @@ class TestCycleMeasurementMap:
         assert by_gen[8] == frozenset({6, 8})
         assert by_gen[11] == frozenset({6, 12})
 
+    def test_empty_placement(self, island):
+        basis = fundamental_cycle_basis(island.graph, bench_tree(island.graph))
+        assert all(s == frozenset() for s in _sensors_per_cycle(basis, Placement(())))
+
     def test_own_cotree_gives_singletons(self, island):
         for tree in list(enumerate_spanning_trees(island.graph, island.tau))[:6]:
             cot = tuple(sorted(tree.cotree(island.graph)))
@@ -171,22 +175,20 @@ class TestCycleMeasurementMap:
 
     def test_sensor_sets_dependent_for_invalid_placement(self, island):
         # two sensors on the root edges leave two basis cycles with the same
-        # sensor set, and no sensors leave every set empty: either way their
-        # symmetric differences collide
+        # sensor set, so their symmetric differences collide
         basis = fundamental_cycle_basis(island.graph, bench_tree(island.graph))
-        for pl in (Placement((0, 3)), Placement(())):
-            sensors = _sensors_per_cycle(basis, pl)
-            seen = set()
-            collision = False
-            for bits in itertools.product((0, 1), repeat=len(basis)):
-                u = frozenset()
-                for k, b in enumerate(bits):
-                    if b:
-                        u = u ^ sensors[k]
-                if u in seen:
-                    collision = True
-                seen.add(u)
-            assert collision
+        sensors = _sensors_per_cycle(basis, Placement((0, 3)))
+        seen = set()
+        collision = False
+        for bits in itertools.product((0, 1), repeat=len(basis)):
+            u = frozenset()
+            for k, b in enumerate(bits):
+                if b:
+                    u = u ^ sensors[k]
+            if u in seen:
+                collision = True
+            seen.add(u)
+        assert collision
 
 
 class TestEdgeExchange:
