@@ -49,7 +49,7 @@ basis = fundamental_cycle_basis(g, tree)
 print(f"\nOperating tree {tree.label()} leaves out edges 4, 5, 8, 11.")
 print("Adding each unused edge back closes exactly one cycle:")
 for gen, cyc in zip(basis.generators, basis.cycles):
-    print(f"  edge {gen:2d} closes cycle {sorted(cyc.edges)}")
+    print(f"  edge {gen:2d} closes cycle {sorted(cyc)}")
 
 # Moving between two configurations = one edge swap per cycle
 other = SpanningTree(frozenset(range(g.n_edges)) - {4, 6, 8, 12})

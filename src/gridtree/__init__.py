@@ -33,7 +33,6 @@ from .graph import (
     max_weight_spanning_tree,
 )
 from .cycles import (
-    Cycle,
     EdgeExchange,
     ExchangeMove,
     FundamentalCycleBasis,

@@ -1,6 +1,6 @@
 """Cycle-space machinery: fundamental cycle bases and edge exchanges.
 
-A cycle is stored as its edge set.  A fundamental cycle is found on the tree
+A cycle is a frozenset of edge ids.  A fundamental cycle is found on the tree
 rooted by ``graph.root_tree`` by walking both ends of its co-tree edge up to
 their lowest common ancestor.  The sensors a cycle carries are the
 intersection of its edge set with the placement's.
@@ -14,19 +14,6 @@ from .errors import InternalInvariantError, NotASpanningTreeError
 from .graph import Graph, SpanningTree, is_spanning_tree, root_tree
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A single cycle, stored as its edge-id set."""
-
-    edges: frozenset[int]
-
-    def __contains__(self, eid: int) -> bool:
-        return eid in self.edges
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 # -- fundamental cycle bases ----------------------------------------------
 
 
@@ -38,7 +25,7 @@ class FundamentalCycleBasis:
     appears in no other cycle of the basis.
     """
 
-    cycles: tuple[Cycle, ...]
+    cycles: tuple[frozenset[int], ...]
     generators: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -63,7 +50,7 @@ def fundamental_cycle_basis(graph: Graph, tree: SpanningTree) -> FundamentalCycl
             b, eb = parent[b]
             path.add(ea)
             path.add(eb)
-        cycles.append(Cycle(frozenset(path) | {g}))
+        cycles.append(frozenset(path) | {g})
     return FundamentalCycleBasis(tuple(cycles), generators)
 
 
@@ -106,7 +93,7 @@ def encode_edge_exchange(graph: Graph, source: SpanningTree, target: SpanningTre
     if not is_spanning_tree(graph, target.edge_ids):
         raise NotASpanningTreeError("exchange target must be a spanning tree")
     target_cotree = sorted(e for e in range(graph.n_edges) if e not in target.edge_ids)
-    candidates = [sorted(c.edges & set(target_cotree)) for c in basis.cycles]
+    candidates = [sorted(c & set(target_cotree)) for c in basis.cycles]
 
     assigned: dict[int, int] = {}  # target co-tree edge -> cycle index
 

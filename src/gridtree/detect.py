@@ -36,8 +36,8 @@ support, and counts the others by the matrix-tree theorem.
 Per-call and batch MAP (and ``detect_zero_flow_map``) pick with one
 first-best rule, ``_first_best``; ``detect_fmst`` and its batch form share
 ``_fmst_trees``.  Per-call MAP scores a plain vector, not a one-row bank: on
-a warm-cache 4x4 lattice call (100,352 hypotheses) a bank took 1.5-1.9 times
-as long and raised the traced peak memory from 2 to 15 MB.
+warm-cache 3x3 and 4x4 lattice calls a bank over the same trees took 1.5 and
+1.35 times as long, and raised a 4x4 call's traced peak memory about 4-fold.
 
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
 the Monte Carlo sweep alike; ``DETECTOR_BATCHES`` holds the batch forms the
@@ -128,10 +128,7 @@ class ReducedGaussian:
         if factors is None:
             [factors] = _factorise(mean[None], np.asarray(cov, dtype=float)[None])
         keep, dep, self.logdet, whiten, dep_coef, dep_offset = factors
-        self.mean = mean
-        self.keep = np.array(keep, dtype=int)
-        self.dep = np.array(dep, dtype=int)
-        self.rank = len(keep)
+        self.keep, self.dep, self.rank = keep, dep, len(keep)
         mean_list = mean.tolist()
         # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
         self.tol_scale = max([1.0, *map(abs, mean_list)])
@@ -850,12 +847,12 @@ class HypothesisBank:
                 else:
                     seen = set()
                     for cyc in cycles:
-                        shared |= seen & cyc.edges
-                        seen |= cyc.edges
+                        shared |= seen & cyc
+                        seen |= cyc
                 edges = self.trees[i].edge_ids
                 row = [i]
                 for gen, cyc in zip(gens, cycles):
-                    outs = sorted(cyc.edges - {gen} - self.required - shared)
+                    outs = sorted(cyc - {gen} - self.required - shared)
                     row += [self.number(SpanningTree((edges - {out}) | {gen})) for out in outs]
                 rows[k, : len(row)] = row
                 row_of[i] = len(table) + k

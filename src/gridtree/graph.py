@@ -313,7 +313,7 @@ def enumerate_spanning_trees(
                 yield from extend(i + 1, nxt)
                 chosen.pop()
 
-    if need >= 0 and completable(uf0, 0):
+    if completable(uf0, 0):
         yield from extend(0, uf0)
 
 
@@ -344,24 +344,18 @@ def count_spanning_trees(graph: Graph, required_edges: Iterable[int] = ()) -> in
             L[j][i] -= 1
     a = [row[1:] for row in L[1:]]
     m = n - 1
-    sign = 1
     prev = 1
     for k in range(m - 1):
+        # a[k][k] is the (k+1)-th leading principal minor of this positive
+        # semidefinite matrix: if it is 0, so is the determinant (Fischer)
         if a[k][k] == 0:
-            for r in range(k + 1, m):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         for i in range(k + 1, m):
             for j in range(k + 1, m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    det = sign * a[m - 1][m - 1]
-    return det if det > 0 else 0
+    return a[m - 1][m - 1]
 
 
 def max_weight_spanning_tree(

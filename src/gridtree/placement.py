@@ -127,15 +127,17 @@ def naive_identifiability_oracle(
 
 
 @functools.lru_cache(maxsize=1)
-def _tree_flows(graph: Graph, loads: bytes, shape: tuple) -> np.ndarray:
-    """Every spanning tree's edge flows under ``loads`` (float bytes of that
-    shape), one row per tree.  The oracle is asked about many placements of
-    one (graph, loads) pair, and the flows do not depend on the placement, so
-    the last pair's table is kept."""
+def _tree_flows(graph: Graph, loads: bytes, shape: tuple, restriction: frozenset = frozenset()) -> np.ndarray:
+    """Edge flows under ``loads`` (float bytes of that shape) of every spanning
+    tree containing ``restriction``, as a trees x |E| array.  The oracle and
+    the deterministic sweep are asked about many placements of one (graph,
+    loads) pair, and the flows do not depend on the placement, so the last
+    pair's table is kept."""
     from .flows import tree_edge_flows
 
     x = np.frombuffer(loads).reshape(shape)
-    flows = np.array([tree_edge_flows(graph, t, x) for t in enumerate_spanning_trees(graph)])
+    trees = enumerate_spanning_trees(graph, restriction)
+    flows = np.array([tree_edge_flows(graph, t, x) for t in trees]).reshape(-1, graph.n_edges)
     flows.setflags(write=False)
     return flows
 

@@ -36,9 +36,9 @@ import numpy as np
 
 from .detect import DETECTOR_NAMES, HypothesisBank, HypothesisCache
 from .errors import ModelError
-from .flows import LoadModel, observation_matrix, tree_edge_flows
+from .flows import LoadModel, observation_matrix
 from .graph import Graph, enumerate_spanning_trees
-from .placement import Placement, PlacementFamily
+from .placement import Placement, PlacementFamily, _tree_flows
 
 
 def _csv_text(header: list, rows: Iterable[list]) -> str:
@@ -219,17 +219,15 @@ def run_deterministic_sweep(
     every valid placement); ``eps_unsigned`` drops the flow direction first,
     which can merge pairs and shows why direction matters.
     """
-    trees = list(enumerate_spanning_trees(graph, restriction))
     x = np.asarray(loads, dtype=float)
-    flows = np.stack([tree_edge_flows(graph, t, x) for t in trees]) if trees else np.zeros((0, 0))
+    flows = _tree_flows(graph, x.tobytes(), x.shape, frozenset(restriction))
     report = DeterministicReport()
     for pl in placements:
-        cols = list(pl.edge_ids)
-        obs = flows[:, cols]
+        obs = flows[:, list(pl.edge_ids)]
         report.rows.append(
             DeterministicRow(
                 placement=pl.label(),
-                n_trees=len(trees),
+                n_trees=len(flows),
                 eps=_collision_fraction(obs),
                 eps_unsigned=_collision_fraction(np.abs(obs)),
             )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridtree import Graph, build_island_fixture
+from gridtree.graph import UnionFind
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +100,24 @@ def random_connected_graph(rng: np.random.Generator) -> Graph:
             continue
         edges.append((vs[int(a)], vs[int(b)]))
     return Graph(vs, edges)
+
+
+def with_edges_dropped(rng: np.random.Generator, graph: Graph, share: float = 0.4) -> Graph:
+    """``graph`` less about ``share`` of its edges, so often disconnected."""
+    return Graph(graph.vertices, [e for e in graph.edges if rng.random() >= share])
+
+
+def random_forest(rng: np.random.Generator, graph: Graph) -> list[int]:
+    """A random acyclic edge set: each edge that joins two of the forest's
+    trees so far is taken with probability 1/2, in a random order."""
+    uf = UnionFind(graph.n_vertices)
+    forest = []
+    for eid in rng.permutation(graph.n_edges).tolist():
+        u, v = (graph.vertex_index(x) for x in graph.edges[eid])
+        if uf.find(u) != uf.find(v) and rng.random() < 0.5:
+            uf.union(u, v)
+            forest.append(eid)
+    return forest
 
 
 def lattice_graph(n: int) -> Graph:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gridtree import Placement, SpanningTree, hypothesis_flow
+from gridtree import ExperimentConfig, Placement, SpanningTree, hypothesis_flow, run_stochastic_sweep
 from gridtree import (
     detect_cycle_descent,
     detect_deterministic,
@@ -253,6 +253,22 @@ class TestSweepAndRanking:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+        # one noise level: --sigma writes what a one-value grid writes, and
+        # --cv reads it as a percent of each node's mean, as sigma_mode "cv" does
+        for name, noise in [("d.csv", ["--sigma", "0.2"]), ("e.csv", ["--sigma-grid", "0.2"]),
+                            ("f.csv", ["--sigma", "20", "--cv"])]:
+            assert main([
+                "sweep", "--graph", str(gpath), "--loads", str(lpath), "--placement", str(ppath),
+                *noise, "--trials", "5", "--seed", "9", "--method", "map,fmst",
+                "--require-tau", "--out", str(tmp_path / name),
+            ]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+        config = ExperimentConfig(
+            graph=island.graph, load_model=island.load_model, placements=(Placement((6, 7, 10, 12)),),
+            sigmas=(20.0,), trials=5, detectors=("map", "fmst"), seed=9, restriction=island.tau,
+            sigma_mode="cv",
+        )
+        assert (tmp_path / "f.csv").read_text() == run_stochastic_sweep(config).to_csv()
 
     def test_sweep_requires_sigma(self, island_files, tmp_path, capsys):
         gpath, lpath = island_files
@@ -369,12 +385,16 @@ class TestSweepAndRanking:
         rc = main([
             "rank-placements", "--graph", str(gpath), "--loads", str(lpath),
             "--sigma", "0.0", "--trials", "1", "--seed", "0",
-            "--require-tau", "--out", str(out),
+            "--require-tau", "--out", str(out), "--report-out", str(tmp_path / "report.csv"),
         ])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "placement,g1,g2,rank"
         assert len(lines) == 45
+        report = (tmp_path / "report.csv").read_text().splitlines()
+        assert report[0] == "placement,detector,sigma,true_tree,trials,misses,rate,stderr"
+        assert len(report) == 1 + 44 * 44  # one row per (placement, true tree)
+        assert all(row.split(",")[5] == "0" for row in report[1:])
 
     def test_rank_placements_needs_exactly_one_noise_flag(self, island_files, tmp_path, capsys):
         gpath, lpath = island_files

@@ -18,7 +18,7 @@ from gridtree import (
 )
 from gridtree import NotASpanningTreeError
 from gridtree.graph import root_tree
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_forest, with_edges_dropped
 
 EXAMPLE_INCIDENCE = np.array(
     [
@@ -168,6 +168,8 @@ class TestCounting:
     def test_disconnected_returns_zero(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         assert count_spanning_trees(g) == 0
+        g = Graph(["r", "a", "b"], [("r", "b")])  # "a" is isolated: the first pivot is 0
+        assert count_spanning_trees(g) == 0
 
     def test_parallel_edges_counted(self):
         g = Graph(["a", "b"], [("a", "b"), ("a", "b"), ("a", "b")])
@@ -178,6 +180,13 @@ class TestCounting:
         for _ in range(60):
             g = random_connected_graph(rng)
             assert count_spanning_trees(g) == len(list(enumerate_spanning_trees(g)))
+        counts = []
+        for _ in range(60):  # often disconnected, with a random required forest
+            g = with_edges_dropped(rng, random_connected_graph(rng))
+            forest = random_forest(rng, g)
+            counts.append(count_spanning_trees(g, forest))
+            assert counts[-1] == len(list(enumerate_spanning_trees(g, forest)))
+        assert 0 in counts and max(counts) > 1
 
     def test_required_edges_are_contracted(self, island):
         assert count_spanning_trees(island.graph, island.tau) == 44
@@ -219,6 +228,11 @@ class TestMaxWeightSpanningTree:
         tri = dict(small_corpus)["triangle"]
         with pytest.raises(InfeasibleConstraintError):
             max_weight_spanning_tree(tri, [1.0, 1.0, 1.0], required_edges=[0, 1, 2])
+
+    def test_disconnected_graph_rejected(self):
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        with pytest.raises(MalformedGraphError):
+            max_weight_spanning_tree(g, [1.0, 1.0])
 
 
 def test_spanning_tree_helpers(island):

@@ -15,11 +15,13 @@ from gridtree import (
     ModelError,
     Placement,
     SpanningTree,
+    count_spanning_trees,
     detect_cycle_descent,
     detect_fmst,
     enumerate_valid_placements,
     evaluate_placements,
     local_map_search,
+    naive_identifiability_oracle,
     run_deterministic_sweep,
     run_stochastic_sweep,
 )
@@ -53,6 +55,14 @@ class TestDeterministicSweep:
         assert report.rows[0].eps == 0.0
         assert report.rows[0].eps_unsigned == 0.0
 
+    def test_no_spanning_tree_gives_an_empty_row(self):
+        # a disconnected graph has no spanning tree: 0 trees, so no colliding pair
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        report = run_deterministic_sweep(g, [Placement((1,))], [1.0, 1.0, 1.0])
+        assert report.to_csv() == "placement,n_trees,eps,eps_unsigned\n1,0,0,0\n"
+        assert count_spanning_trees(g) == 0
+        assert naive_identifiability_oracle(g, Placement((1,)), [1.0, 1.0, 1.0])
+
     def test_csv_round_stable(self, island, tau_family):
         report = run_deterministic_sweep(
             island.graph, tau_family.placements[:3], island.load_model.means, island.tau
@@ -70,7 +80,7 @@ class TestStochasticSweep:
             placements=(tau_family.placements[0],),
             sigmas=(0.0,),
             trials=3,
-            detectors=("map", "deterministic", "zeroflow"),
+            detectors=("map", "deterministic", "zeroflow", "enum"),
             seed=1,
             restriction=island.tau,
         )
