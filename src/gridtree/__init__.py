@@ -52,7 +52,6 @@ from .placement import (
     tree_to_placement,
 )
 from .flows import (
-    HypothesisFlowDistribution,
     LoadModel,
     consumption_vector,
     cv_scaling,

@@ -255,10 +255,9 @@ class HypothesisCache:
         todo = [t for t in dict.fromkeys(trees) if t.edge_ids not in self._gaussians]
         if todo:
             dists = [hypothesis_flow_distribution(self.graph, t, self.placement, self.model) for t in todo]
-            means = np.array([dist.mean for dist in dists])
-            covs = np.array([dist.covariance for dist in dists])
-            for tree, dist, factors in zip(todo, dists, _factorise(means, covs)):
-                self._gaussians[tree.edge_ids] = ReducedGaussian(dist.mean, dist.covariance, factors)
+            means, covs = map(np.array, zip(*dists))
+            for tree, (mean, cov), factors in zip(todo, dists, _factorise(means, covs)):
+                self._gaussians[tree.edge_ids] = ReducedGaussian(mean, cov, factors)
         return [self._gaussians[t.edge_ids] for t in trees]
 
     def gaussian(self, tree: SpanningTree) -> ReducedGaussian:
@@ -513,8 +512,8 @@ def zero_flow_statistic(
 ) -> ZeroFlowStatistic:
     indices = tree.cotree(graph)
     H = J[list(indices), :]
-    dist = hypothesis_flow_distribution(graph, tree, placement, model)
-    cov = H @ dist.covariance @ H.T
+    _, cov = hypothesis_flow_distribution(graph, tree, placement, model)
+    cov = H @ cov @ H.T
     return ZeroFlowStatistic(
         indices=indices,
         covariance=cov,
@@ -536,14 +535,14 @@ def detect_zero_flow_map(
     hypothesis by how plausibly its co-tree entries are zero.  Selects the
     same tree as detect_map for minimal valid placements.  ``cache`` is
     optional; pass one to reuse the statistics' Gaussians across calls.
+    UnsupportedPlacementError unless |M| is the circuit rank; the flow solve
+    raises InvalidPlacementError unless the unmeasured edges form a spanning tree.
     """
     mu = circuit_rank(graph)
     if len(placement.edge_ids) != mu:
         raise UnsupportedPlacementError(
             f"zero-flow test needs exactly {mu} sensors, got {len(placement.edge_ids)}"
         )
-    if not is_valid_placement(graph, placement):
-        raise InvalidPlacementError("zero-flow test needs a valid placement")
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     f_o = relaxed_flow_solution(graph, placement, model.means, observation)
     hypotheses = cache.hypotheses(restriction)

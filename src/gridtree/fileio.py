@@ -6,7 +6,7 @@ Graph file:
     edge <id> <from> <to>   (one per edge; <from> is the reference tail)
 
 Placement file:   sensor <k> <edge id>        (k dense from 0)
-Load file:        load <vertex id> <mean> <stddev>
+Load file:        load <vertex id> <mean> <stddev>   (stddev >= 0)
 Observation file: obs <k> <value>
 
 Blank lines and lines starting with '#' are ignored.  All floats are decimal,
@@ -130,8 +130,8 @@ def parse_loads(text: str) -> LoadModel:
             mean, std = float(parts[2]), float(parts[3])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: mean/stddev must be numbers") from None
-        if not (math.isfinite(mean) and math.isfinite(std)):
-            raise GraphFormatError(f"line {lineno}: mean/stddev must be finite")
+        if not (math.isfinite(mean) and 0 <= std < math.inf):
+            raise GraphFormatError(f"line {lineno}: mean/stddev must be finite, stddev >= 0")
         nodes.append(parts[1])
         means.append(mean)
         stds.append(std)

@@ -213,23 +213,16 @@ def flow_residual(graph: Graph, flows: Sequence[float], loads: Sequence[float]) 
 # -- hypothesis flow distribution ---------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HypothesisFlowDistribution:
-    """Gaussian law of the sensor vector under one hypothesized tree."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-
 def hypothesis_flow_distribution(
     graph: Graph, tree: SpanningTree, placement: Placement, model: LoadModel
-) -> HypothesisFlowDistribution:
-    """Mean = forecast readings; covariance = Gamma diag(var) Gamma^T."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (mean, covariance) of the sensor vector's Gaussian law under one
+    hypothesized tree: forecast readings and Gamma diag(var) Gamma^T.  ModelError,
+    UnknownEdgeError or NotASpanningTreeError for a model, sensor or tree that
+    does not fit the graph."""
     model.check_graph(graph)
     gamma = observation_matrix(graph, tree, placement)
-    mean = gamma @ model.means
-    cov = (gamma * model.variances) @ gamma.T
-    return HypothesisFlowDistribution(mean=mean, covariance=cov)
+    return gamma @ model.means, (gamma * model.variances) @ gamma.T
 
 
 def cv_scaling(aggregate_kw: float) -> float:
@@ -237,6 +230,6 @@ def cv_scaling(aggregate_kw: float) -> float:
 
     Decreases with aggregation and saturates at sqrt(41.9) ~ 6.47 percent.
     """
-    if aggregate_kw <= 0:
-        raise ModelError("aggregate power must be positive")
+    if not 0 < aggregate_kw < math.inf:
+        raise ModelError("aggregate power must be positive and finite")
     return math.sqrt(3562.0 / aggregate_kw + 41.9)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPlacementError
+from .errors import InvalidPlacementError, ModelError
 from .graph import (
     Graph,
     SpanningTree,
@@ -107,27 +107,43 @@ def naive_identifiability_oracle(
 ) -> bool:
     """Brute-force check that all spanning trees yield distinct observations.
 
-    Enumerates every spanning tree, computes its exact sensor readings under
-    ``loads``, and compares all pairs.  Quadratic in the tree count; meant as
+    True when no two trees' exact readings under ``loads`` collide
+    (``_collision_fraction`` is 0).  Quadratic in the tree count; meant as
     ground truth for the O(|E|) validity test.  Distinctness is only
     guaranteed to match validity for *generic* loads (drawn from a continuous
     distribution): structured loads such as exact zeros can collide
-    observations even for valid placements.
+    observations even for valid placements.  UnknownEdgeError for a sensor
+    id outside the graph; ModelError unless the loads are finite, one per
+    load vertex.
     """
-    x = np.asarray(loads, dtype=float)
-    if np.any(x <= 0):
+    obs = _readings(graph, placement, loads)
+    if np.any(np.asarray(loads, dtype=float) <= 0):
         warnings.warn("nonpositive loads are degenerate for identifiability checks")
-    flows = _tree_flows(graph, x.tobytes(), x.shape)
-    if len(flows) <= 1:
-        return True
-    if not placement.edge_ids:
-        return False
-    obs = flows[:, list(placement.edge_ids)]
-    return len(np.unique(obs, axis=0)) == len(flows)
+    return _collision_fraction(obs) == 0.0
+
+
+def _readings(graph: Graph, placement: Placement, loads: Sequence[float], restriction=frozenset()) -> np.ndarray:
+    """The sensor columns of ``_tree_flows``, trees x |M| exact readings,
+    after the oracle's checks of the sensor ids and the loads."""
+    for eid in placement.edge_ids:
+        graph.check_edge(eid)
+    x = np.asarray(loads, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ModelError("loads must be finite")
+    return _tree_flows(graph, x.tobytes(), x.shape, restriction)[:, list(placement.edge_ids)]
+
+
+def _collision_fraction(obs: np.ndarray) -> float:
+    """Fraction of ordered row pairs that are exactly equal."""
+    n = len(obs)
+    if n < 2:
+        return 0.0
+    counts = np.unique(obs, axis=0, return_counts=True)[1]
+    return int(np.sum(counts * (counts - 1))) / (n * (n - 1))
 
 
 @functools.lru_cache(maxsize=1)
-def _tree_flows(graph: Graph, loads: bytes, shape: tuple, restriction: frozenset = frozenset()) -> np.ndarray:
+def _tree_flows(graph: Graph, loads: bytes, shape: tuple, restriction: frozenset) -> np.ndarray:
     """Edge flows under ``loads`` (float bytes of that shape) of every spanning
     tree containing ``restriction``, as a trees x |E| array.  The oracle and
     the deterministic sweep are asked about many placements of one (graph,

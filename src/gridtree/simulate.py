@@ -38,7 +38,7 @@ from .detect import DETECTOR_NAMES, HypothesisBank, HypothesisCache
 from .errors import ModelError
 from .flows import LoadModel, observation_matrix
 from .graph import Graph, enumerate_spanning_trees
-from .placement import Placement, PlacementFamily, _tree_flows
+from .placement import Placement, PlacementFamily, _collision_fraction, _readings
 
 
 def _csv_text(header: list, rows: Iterable[list]) -> str:
@@ -197,16 +197,6 @@ class DeterministicReport:
     write_csv = _write_csv
 
 
-def _collision_fraction(obs: np.ndarray) -> float:
-    """Fraction of ordered row pairs that are exactly equal."""
-    n = len(obs)
-    if n < 2:
-        return 0.0
-    _, counts = np.unique(obs, axis=0, return_counts=True)
-    colliding = int(np.sum(counts * (counts - 1)))
-    return colliding / (n * (n - 1))
-
-
 def run_deterministic_sweep(
     graph: Graph,
     placements: Iterable[Placement],
@@ -217,17 +207,18 @@ def run_deterministic_sweep(
 
     ``eps`` counts ordered pairs whose signed readings coincide (zero for
     every valid placement); ``eps_unsigned`` drops the flow direction first,
-    which can merge pairs and shows why direction matters.
+    which can merge pairs and shows why direction matters.  Raises as the
+    identifiability oracle does, whose readings table it shares: UnknownEdgeError
+    for a sensor id outside the graph, ModelError unless the loads are finite.
     """
-    x = np.asarray(loads, dtype=float)
-    flows = _tree_flows(graph, x.tobytes(), x.shape, frozenset(restriction))
+    restriction = frozenset(restriction)
     report = DeterministicReport()
     for pl in placements:
-        obs = flows[:, list(pl.edge_ids)]
+        obs = _readings(graph, pl, loads, restriction)
         report.rows.append(
             DeterministicRow(
                 placement=pl.label(),
-                n_trees=len(flows),
+                n_trees=len(obs),
                 eps=_collision_fraction(obs),
                 eps_unsigned=_collision_fraction(np.abs(obs)),
             )

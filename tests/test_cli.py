@@ -235,6 +235,19 @@ class TestDetect:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_negative_stddev_load_file_exits_1(self, island, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        _, ppath, opath = self._exact_files(island, tmp_path)
+        lines = lpath.read_text().splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " -0.2"
+        lpath.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath), "--method", "map",
+        ])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSweepAndRanking:
     def test_sweep_reproducible_across_workers(self, island, island_files, tmp_path):

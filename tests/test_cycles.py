@@ -208,6 +208,11 @@ class TestEdgeExchange:
         assert all(m.is_identity for m in ex.moves)
         assert apply_edge_exchange(island.graph, ex).edge_ids == t.edge_ids
 
+    def test_target_must_be_a_spanning_tree(self, island):
+        src = bench_tree(island.graph)
+        with pytest.raises(NotASpanningTreeError, match="exchange target"):
+            encode_edge_exchange(island.graph, src, SpanningTree(frozenset(range(island.graph.n_edges))))
+
     def test_moves_stay_on_their_carrier_cycle(self, island):
         src, dst = bench_tree(island.graph), partner_tree(island.graph)
         basis = fundamental_cycle_basis(island.graph, src)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridtree import (
+    GridTreeError,
     InconsistentObservationError,
     InvalidPlacementError,
     LoadModel,
@@ -36,6 +37,7 @@ from gridtree import (
 )
 from gridtree.detect import (
     _PYTHON_ROWS,
+    DETECTORS,
     HypothesisBank,
     HypothesisCache,
     ReducedGaussian,
@@ -166,16 +168,16 @@ class TestFactorisationMatchesEigenvalueScan:
         gammas = [observation_matrix(graph, t, placement) for t in trees]
         V = np.array([gm @ x for x in draws for gm in gammas])
         for h, tree in enumerate(trees):
-            dist = hypothesis_flow_distribution(graph, tree, placement, model)
-            cov = dist.covariance.copy()
-            rg = ReducedGaussian(dist.mean, dist.covariance)
-            assert np.array_equal(dist.covariance, cov)  # the caller's cov is left as given
+            mean, given = hypothesis_flow_distribution(graph, tree, placement, model)
+            cov = given.copy()
+            rg = ReducedGaussian(mean, given)
+            assert np.array_equal(given, cov)  # the caller's cov is left as given
             keep = _eigenvalue_scan(cov)
             assert rg.keep == keep
             assert rg.dep == [j for j in range(len(cov)) if j not in keep]
             C = cov[np.ix_(keep, keep)]
             assert abs(rg.logdet - np.linalg.slogdet(C)[1]) <= 1e-9
-            ref = _reference_scores(dist.mean, cov, keep, V)
+            ref = _reference_scores(mean, cov, keep, V)
             batch = rg.logpdf_batch(V)
             assert np.array_equal(np.isinf(batch), np.isinf(ref))
             assert batch[np.isfinite(ref)] == pytest.approx(ref[np.isfinite(ref)])
@@ -267,9 +269,9 @@ class TestStackedFactorisation:
     def _check_cache(graph, trees, placement, model, ranks):
         stacked = HypothesisCache(graph, placement, model).gaussians(trees)
         for tree, rg in zip(trees, stacked):
-            dist = hypothesis_flow_distribution(graph, tree, placement, model)
-            alone = ReducedGaussian(dist.mean, dist.covariance)
-            assert _factors(rg) == _factors(alone) == _numpy_factors(dist.mean, dist.covariance)
+            mean, cov = hypothesis_flow_distribution(graph, tree, placement, model)
+            alone = ReducedGaussian(mean, cov)
+            assert _factors(rg) == _factors(alone) == _numpy_factors(mean, cov)
         ranks.append({rg.rank for rg in stacked})
 
     def test_island_trees(self, island, tau_trees, tau_placements):
@@ -330,8 +332,7 @@ class TestOneRowEqualsBatch:
         V = np.vstack([V, nudged])
         pick = np.random.default_rng(len(V))  # its own stream, so ``rng`` draws the same cases
         for tree in trees:
-            dist = hypothesis_flow_distribution(graph, tree, placement, model)
-            rg = ReducedGaussian(dist.mean, dist.covariance)
+            rg = ReducedGaussian(*hypothesis_flow_distribution(graph, tree, placement, model))
             batch = rg.logpdf_batch(V)
             one = np.array([rg.logpdf(v) for v in V])
             assert one.tobytes() == batch.tobytes(), [
@@ -463,8 +464,7 @@ class TestLogLikelihood:
         model = island.load_model.with_stddev(0.2)
         tree = tau_trees[5]
         s = hypothesis_flow(island.graph, tree, pl, model.means)
-        dist = hypothesis_flow_distribution(island.graph, tree, pl, model)
-        rg = ReducedGaussian(dist.mean, dist.covariance)
+        rg = ReducedGaussian(*hypothesis_flow_distribution(island.graph, tree, pl, model))
         assert log_likelihood(island.graph, tree, pl, model, s) == pytest.approx(
             -0.5 * (rg.rank * math.log(2 * math.pi) + rg.logdet)
         )
@@ -569,6 +569,14 @@ class TestEnumerationOracle:
         s = hypothesis_flow(g, tree, pl, loads)
         hits = detect_enumeration_oracle(g, pl, loads, s)
         assert len(hits) >= 2
+
+    @pytest.mark.parametrize("edges, reading, found", [((0,), [2.5], 0), ((), [], 3)])
+    def test_registry_entry_needs_exactly_one_tree(self, small_corpus, edges, reading, found):
+        # no triangle tree sends 2.5 over edge 0; with no sensor all three trees match
+        tri = dict(small_corpus)["triangle"]
+        model = LoadModel(tri.load_vertices, [1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(GridTreeError, match=f"returned {found} trees"):
+            DETECTORS["enum"](tri, Placement(edges), model, reading, (), None)
 
     def test_wrong_load_count_raises(self, island):
         # four loads for five load vertices used to match no tree and return ()
@@ -710,6 +718,11 @@ class TestZeroFlowMap:
                 island.graph, Placement((6, 7, 10, 12, 4)), island.load_model, np.zeros(5)
             )
 
+    def test_invalid_placement_rejected(self, island):
+        # as many sensors as the circuit rank, but the unmeasured edges hold a cycle
+        with pytest.raises(InvalidPlacementError):
+            detect_zero_flow_map(island.graph, Placement((0, 1, 2, 3)), island.load_model, np.zeros(4))
+
 
 class TestFmst:
     def test_zero_noise_equals_deterministic(self, island, tau_trees):
@@ -813,6 +826,10 @@ class TestFeasibleTree:
         s = np.array([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(InconsistentObservationError):
             feasible_tree(island.graph, s, pl, required_edges=island.tau)
+
+    def test_mandatory_edge_reading_zero_rejected(self, island):
+        with pytest.raises(InconsistentObservationError, match="mandatory edge"):
+            feasible_tree(island.graph, np.zeros(4), Placement((6, 7, 10, 12)), required_edges={6})
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_reading_count_must_match_sensors(self, island, count):

@@ -12,7 +12,9 @@ from gridtree.fileio import (
     parse_observation,
     parse_placement,
     read_graph,
+    read_placement,
     write_graph,
+    write_placement,
 )
 
 
@@ -49,6 +51,19 @@ class TestGraphFormat:
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_graph("vertices: a b\nbogus 1 2\n")
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("vertices: a b", "duplicate vertices header"),
+            ("root: a b", "root needs exactly one id"),
+            ("edge 1 a", "expected 'edge <id> <from> <to>'"),
+            ("edge x a b", "edge id must be an integer"),
+        ],
+    )
+    def test_malformed_line_reports_line(self, line, match):
+        with pytest.raises(GraphFormatError, match=f"line 3: {match}"):
+            parse_graph(f"vertices: a b\nedge 0 a b\n{line}\n")
+
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nvertices: a b\nroot: a\n\nedge 0 a b\n"
         g = parse_graph(text)
@@ -63,6 +78,24 @@ class TestPlacementFormat:
     def test_round_trip(self):
         pl = Placement((6, 7, 10, 12))
         assert parse_placement(format_placement(pl)).edge_ids == pl.edge_ids
+
+    def test_file_round_trip(self, tmp_path):
+        path = tmp_path / "net.placement"
+        write_placement(Placement((6, 7, 10, 12)), path)
+        assert read_placement(path) == Placement((6, 7, 10, 12))
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("sensor 1", "expected 'sensor <k> <edge id>'"),
+            ("obs 1 4", "expected 'sensor <k> <edge id>'"),
+            ("sensor 1 4.5", "sensor fields must be integers"),
+            ("sensor x 4", "sensor fields must be integers"),
+        ],
+    )
+    def test_malformed_line_reports_line(self, line, match):
+        with pytest.raises(GraphFormatError, match=f"line 2: {match}"):
+            parse_placement(f"sensor 0 6\n{line}\n")
 
     def test_order_is_sensor_index(self):
         text = "sensor 1 4\nsensor 0 9\n"
@@ -92,6 +125,15 @@ class TestLoadFormat:
     def test_bad_number_rejected(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_loads("load v1 one 0\n")
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(GraphFormatError, match="line 1: expected 'load <vertex> <mean> <stddev>'"):
+            parse_loads("load v1 1\n")
+
+    def test_negative_stddev_rejected(self):
+        # used to be squared into variance 0.04, as if the stddev were 0.2
+        with pytest.raises(GraphFormatError, match="line 1: .*stddev >= 0"):
+            parse_loads("load v1 1.0 -0.2\n")
 
     def test_empty_file_rejected(self):
         with pytest.raises(GraphFormatError):

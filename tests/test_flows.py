@@ -52,6 +52,11 @@ class TestLoadModel:
         m2 = island.load_model.with_cv(10.0)
         assert np.allclose(m2.stddevs, 0.1 * island.load_model.means)
 
+    @pytest.mark.parametrize("spread", ["with_stddev", "with_cv"])
+    def test_negative_spread_rejected(self, island, spread):
+        with pytest.raises(ModelError, match="negative"):
+            getattr(island.load_model, spread)(-0.1)
+
     def test_node_order_checked_against_graph(self, island):
         wrong = LoadModel(("v5", "v4", "v3", "v2", "v1"), np.ones(5), np.zeros(5))
         with pytest.raises(ModelError):
@@ -63,6 +68,10 @@ class TestConsumptionVector:
         y = consumption_vector(example_graph, UNIT_LOADS)
         assert y[example_graph.root_index] == pytest.approx(4.0)
         assert y.sum() == pytest.approx(0.0)
+
+    def test_one_load_per_load_vertex(self, example_graph):
+        with pytest.raises(ModelError, match="one load per load vertex"):
+            consumption_vector(example_graph, np.ones(3))
 
     def test_island_feeders_carry_nothing(self, island):
         y = consumption_vector(island.graph, island.load_model.means)
@@ -220,33 +229,33 @@ class TestBlockRelaxedFlow:
 class TestHypothesisFlowDistribution:
     def test_zero_variance_model(self, island):
         tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
-        dist = hypothesis_flow_distribution(island.graph, tree, Placement((6, 4)), island.load_model)
-        assert np.allclose(dist.covariance, 0.0)
-        assert np.allclose(dist.mean, [3.0, 2.0])
+        mean, cov = hypothesis_flow_distribution(island.graph, tree, Placement((6, 4)), island.load_model)
+        assert np.allclose(cov, 0.0)
+        assert np.allclose(mean, [3.0, 2.0])
 
     def test_unit_variance_covariance(self, island):
         tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
         model = island.load_model.with_stddev(1.0)
-        dist = hypothesis_flow_distribution(island.graph, tree, Placement((6, 4)), model)
-        assert np.allclose(dist.covariance, [[3.0, 0.0], [0.0, 2.0]])
+        _, cov = hypothesis_flow_distribution(island.graph, tree, Placement((6, 4)), model)
+        assert np.allclose(cov, [[3.0, 0.0], [0.0, 2.0]])
 
     def test_source_sensor_variance_sums_loads(self, example_graph):
         model = LoadModel(example_graph.load_vertices, UNIT_LOADS, np.full(4, 0.25))
         tree = SpanningTree(frozenset({0, 1, 2, 3}))
-        dist = hypothesis_flow_distribution(example_graph, tree, Placement((0,)), model)
-        assert dist.covariance[0, 0] == pytest.approx(4 * 0.25)
+        _, cov = hypothesis_flow_distribution(example_graph, tree, Placement((0,)), model)
+        assert cov[0, 0] == pytest.approx(4 * 0.25)
 
     def test_monte_carlo_covariance_match(self, island):
         tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
         pl = Placement((6, 4, 9, 12))
         model = island.load_model.with_stddev(0.3)
-        dist = hypothesis_flow_distribution(island.graph, tree, pl, model)
+        _, cov = hypothesis_flow_distribution(island.graph, tree, pl, model)
         gamma = observation_matrix(island.graph, tree, pl)
         rng = np.random.default_rng(77)
         X = model.means + 0.3 * rng.standard_normal((100_000, 5))
         S = X @ gamma.T
         emp = np.cov(S.T)
-        err = np.linalg.norm(emp - dist.covariance) / np.linalg.norm(dist.covariance)
+        err = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
         assert err < 0.05
 
 
@@ -261,6 +270,12 @@ class TestCvScaling:
         ws = [10, 100, 1000, 10000, 100000]
         vals = [cv_scaling(w) for w in ws]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # cv_scaling(nan) used to return nan
+        with pytest.raises(ModelError, match="finite"):
+            cv_scaling(bad)
 
     def test_domain_error(self):
         with pytest.raises(ModelError):

@@ -5,6 +5,7 @@ import pytest
 
 from gridtree import (
     Graph,
+    GridTreeError,
     InfeasibleConstraintError,
     MalformedGraphError,
     SpanningTree,
@@ -43,6 +44,20 @@ class TestGraphConstruction:
     def test_rejects_duplicate_vertices(self):
         with pytest.raises(MalformedGraphError):
             Graph(["a", "a"], [])
+
+    @pytest.mark.parametrize(
+        "vertices, root, loads, match",
+        [
+            ([], None, None, "at least one vertex"),
+            (["a", "b"], "z", None, "root 'z' is not a vertex"),
+            (["a", "b"], None, ["z"], "load vertex 'z' is not a vertex"),
+            (["a", "b", "c"], None, ["b", "b"], "duplicate load vertices"),
+        ],
+    )
+    def test_rejects_bad_vertex_arguments(self, vertices, root, loads, match):
+        edges = list(zip(vertices, vertices[1:]))
+        with pytest.raises(MalformedGraphError, match=match):
+            Graph(vertices, edges, root=root, load_vertices=loads)
 
     def test_parallel_edges_allowed(self):
         g = Graph(["a", "b"], [("a", "b"), ("b", "a")])
@@ -228,6 +243,11 @@ class TestMaxWeightSpanningTree:
         tri = dict(small_corpus)["triangle"]
         with pytest.raises(InfeasibleConstraintError):
             max_weight_spanning_tree(tri, [1.0, 1.0, 1.0], required_edges=[0, 1, 2])
+
+    def test_one_weight_per_edge(self, small_corpus):
+        tri = dict(small_corpus)["triangle"]
+        with pytest.raises(GridTreeError, match="one weight per edge"):
+            max_weight_spanning_tree(tri, [1.0, 2.0])
 
     def test_disconnected_graph_rejected(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])

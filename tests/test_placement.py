@@ -5,8 +5,10 @@ import pytest
 
 from gridtree import (
     InvalidPlacementError,
+    ModelError,
     Placement,
     SpanningTree,
+    UnknownEdgeError,
     count_spanning_trees,
     enumerate_spanning_trees,
     enumerate_valid_placements,
@@ -136,6 +138,19 @@ class TestIdentifiabilityOracle:
                 break
             obs[key] = t
         assert collision is not None
+
+    @pytest.mark.parametrize("ids", [(-1, -2, -3, -4), (13,)])
+    def test_unknown_sensor_edges_rejected(self, island, ids):
+        # a negative id used to read another edge's flows, one past the last an IndexError
+        with pytest.raises(UnknownEdgeError):
+            naive_identifiability_oracle(island.graph, Placement(ids), island.load_model.means)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loads_rejected(self, island, bad):
+        # NaN loads used to make the invalid placement 0 1 2 3 look identifiable
+        assert not is_valid_placement(island.graph, Placement((0, 1, 2, 3)))
+        with pytest.raises(ModelError, match="finite"):
+            naive_identifiability_oracle(island.graph, Placement((0, 1, 2, 3)), np.full(5, bad))
 
     def test_degenerate_loads_warn(self, small_corpus):
         tri = dict(small_corpus)["triangle"]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import gridtree.detect
 from gridtree import (
+    ErrorReport,
     ExperimentConfig,
     Graph,
     InvalidPlacementError,
@@ -15,6 +17,7 @@ from gridtree import (
     ModelError,
     Placement,
     SpanningTree,
+    UnknownEdgeError,
     count_spanning_trees,
     detect_cycle_descent,
     detect_fmst,
@@ -25,6 +28,7 @@ from gridtree import (
     run_deterministic_sweep,
     run_stochastic_sweep,
 )
+from gridtree.simulate import SweepRow
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,18 @@ class TestDeterministicSweep:
         assert report.to_csv() == "placement,n_trees,eps,eps_unsigned\n1,0,0,0\n"
         assert count_spanning_trees(g) == 0
         assert naive_identifiability_oracle(g, Placement((1,)), [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("ids", [(-1,), (13,)])
+    def test_unknown_sensor_edge_rejected(self, island, ids):
+        # Placement((-1,)) used to give placement 12's row, Placement((13,)) an IndexError
+        with pytest.raises(UnknownEdgeError):
+            run_deterministic_sweep(island.graph, [Placement(ids)], island.load_model.means, island.tau)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loads_rejected(self, island, tau_family, bad):
+        # NaN loads used to give eps 0 for every placement, inf loads eps 0.1057
+        with pytest.raises(ModelError, match="finite"):
+            run_deterministic_sweep(island.graph, tau_family, np.full(5, bad), island.tau)
 
     def test_csv_round_stable(self, island, tau_family):
         report = run_deterministic_sweep(
@@ -244,6 +260,27 @@ class TestStochasticSweep:
                 seed=-1,
             )
 
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"sigmas": (0.1, -0.1)}, "sigma values"),
+            ({"sigmas": (float("nan"),)}, "sigma values"),
+            ({"sigma_mode": "relative"}, "unknown sigma mode"),
+        ],
+        ids=["no_trials", "negative_sigma", "nan_sigma", "unknown_mode"],
+    )
+    def test_invalid_config_rejected(self, island, tau_family, field, match):
+        args = dict(
+            graph=island.graph,
+            load_model=island.load_model,
+            placements=(tau_family.placements[0],),
+            sigmas=(0.1,),
+            trials=1,
+        )
+        with pytest.raises(ModelError, match=match):
+            ExperimentConfig(**{**args, **field})
+
     def test_graph_without_a_cycle(self):
         # circuit rank 0: one tree, no basis cycle, nothing to exchange
         g = Graph(["r", "a", "b"], [("r", "a"), ("a", "b")], root="r")
@@ -317,6 +354,22 @@ class TestEvaluatePlacements:
         lines = ranking.to_csv().splitlines()
         assert lines[0] == "placement,g1,g2,rank"
         assert len(lines) == 3
+
+    def test_empty_family_rejected(self, island, tau_family):
+        empty = type(tau_family)(placements=(), forbidden=tau_family.forbidden)
+        with pytest.raises(ModelError, match="placement family is empty"):
+            evaluate_placements(island.graph, empty, island.load_model, sigma=0.1, trials=1)
+
+
+class TestErrorReport:
+    def test_filtered_by_each_field(self):
+        cells = itertools.product(("1 2", "3 4"), ("map", "fmst"), (0.1, 0.2))
+        rows = [SweepRow(p, d, s, "0 1", trials=8, misses=m) for m, (p, d, s) in enumerate(cells)]
+        report = ErrorReport(rows)
+        assert report.filtered(detector="fmst") == [r for r in rows if r.detector == "fmst"]
+        assert report.filtered(sigma=0.2) == [r for r in rows if r.sigma == 0.2]
+        assert report.filtered("3 4", "map", 0.1) == [rows[4]]
+        assert report.rate(detector="map") == (0 + 1 + 4 + 5) / 32
 
 
 class TestZeroFlowSweepReuse:
