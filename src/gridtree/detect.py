@@ -1,20 +1,20 @@
 """Tree detectors: deterministic decoding, exact likelihood search, the
 zero-flow likelihood test, and two polynomial-time approximate searches.
 
-All likelihood detectors share one Gaussian for rank-deficient hypothesis
-covariances, ReducedGaussian: one Cholesky elimination in coordinate order
-keeps a maximal full-rank coordinate subset that carries the density, and
-every other coordinate must match its implied value (within a relative
-tolerance), otherwise the hypothesis is assigned -inf.  One fixed-order
-kernel computes that score from elementwise multiplies and adds only; a
-single row, or a batch under ``_PYTHON_ROWS`` rows, runs it on Python
-floats and a larger batch on numpy columns, so a row scores the same bits
-either way.  A HypothesisCache memoizes, per (graph, placement, model), the
-hypothesis sets, each tree's Gaussians and its cycle basis; every likelihood
-detector takes one as an optional ``cache``, which must have been built for
-the detector's own graph, placement and model.  ``HypothesisCache.gaussians``
-factors the Gaussians a call needs as one stack (``_factorise``), a Gaussian
-built alone being a stack of one; its factors have the same bits either way.
+Every likelihood detector scores a tree by its sensors' private loads
+(``_PrivateLoads``): under a fixed tree, a sensor's signed reading less the
+signed readings of the sensors directly below it is the sum of the loads it
+owns, so the readings' log-likelihood is a sum of independent scalar
+Gaussian terms, O(m) per tree and row, with no covariance or factorisation
+built.  A HypothesisCache memoizes, per (graph, placement, model), the
+hypothesis sets, each tree's private-load law, zero-flow Gaussians and
+cycle bases; every likelihood detector takes one as an optional ``cache``,
+which must have been built for the detector's own graph, placement and
+model.  ``_score`` scores a stack of laws on a block of readings by
+elementwise operations in one fixed order, so a tree scores the same bits
+alone or stacked, on one row or on many.  ReducedGaussian, a general
+Gaussian for rank-deficient covariances, is left to the zero-flow test and
+as the reference that tests check the private-load scores against.
 
 A HypothesisBank numbers trees and scores them on a block of readings, one
 row per observation.  Cycle descent and the local search are both
@@ -27,17 +27,16 @@ on one row for ``detect_cycle_descent`` and ``local_map_search`` and on
 every loaded row for the Monte Carlo sweep, a row without a tree (-1)
 staying at -1.
 
-``detect_map`` and the bank never build or score a tree that lacks a
-sensor-support edge, which leaves every result unchanged;
-``_sensor_support`` states why.  ``detect_map`` does not enumerate such
-trees either: it enumerates the trees holding the restriction and the
-support, and counts the others by the matrix-tree theorem.
+A tree lacking a sensor-support edge scores -inf (``_sensor_support``), so
+``detect_map`` neither enumerates nor builds such trees: it enumerates the
+trees holding the restriction and the support, and counts the others by the
+matrix-tree theorem.  Nor does a bank build a tree that lacks a support
+edge shared by every loaded row.
 
 Per-call and batch MAP (and ``detect_zero_flow_map``) pick with one
 first-best rule, ``_first_best``; ``detect_fmst`` and its batch form share
-``_fmst_trees``.  Per-call MAP scores a plain vector, not a one-row bank: on
-warm-cache 3x3 and 4x4 lattice calls a bank over the same trees took 1.5 and
-1.35 times as long, and raised a 4x4 call's traced peak memory about 4-fold.
+``_fmst_trees``.  Per-call MAP scores its hypotheses as one ``_score``
+stack, not through a one-row bank, which would also number them.
 
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
 the Monte Carlo sweep alike; ``DETECTOR_BATCHES`` holds the batch forms the
@@ -77,16 +76,13 @@ from .graph import (
     enumerate_spanning_trees,
     is_spanning_tree,
     max_weight_spanning_tree,
+    root_tree,
 )
 from .cycles import fundamental_cycle_basis
 from .placement import Placement, is_valid_placement
 
 _NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
-#: Batches of fewer rows are scored one row at a time on Python floats: on
-#: the island, one numpy column call (about 20 us) costs as much as 7-9 rows
-#: on Python floats (2.3-3 us each).
-_PYTHON_ROWS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,131 +110,157 @@ class ReducedGaussian:
     """Gaussian with possibly singular covariance, evaluated on independent coords.
 
     One Cholesky elimination in ascending coordinate index keeps each
-    coordinate whose residual pivot exceeds ``1e-12 * trace(cov)``; the kept
-    rows of the factor give the log-determinant and the lower-triangular
-    whitening factor.  Every skipped coordinate is an affine function of the
-    kept ones and is consistency-checked at evaluation time.  Pivoting on the
-    largest diagonal would keep a different subset and change every score.
-    ``factors`` are this pair's entry of ``_factorise``, which a stack of
-    Gaussians is built from; without them the pair is factored alone.
+    coordinate whose residual pivot exceeds ``1e-12 * trace(cov)``.  Every
+    other coordinate is an affine function of the kept ones and must match
+    it within ``1e-9 * max(1, max |mean|, max |value|)``, or the value scores
+    -inf; rank 0 scores +0.0.  The zero-flow test scores with it, and tests
+    check the private-load scores against it.
     """
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, factors: tuple | None = None):
-        mean = np.asarray(mean, dtype=float)
-        if factors is None:
-            [factors] = _factorise(mean[None], np.asarray(cov, dtype=float)[None])
-        keep, dep, self.logdet, whiten, dep_coef, dep_offset = factors
-        self.keep, self.dep, self.rank = keep, dep, len(keep)
-        mean_list = mean.tolist()
-        # consistency tolerance: 1e-9 * max(tol_scale, max |value| of the observation)
-        self.tol_scale = max([1.0, *map(abs, mean_list)])
-        # the factors as the Python rows _kernel reads
-        self._centre = [(a, mean_list[a]) for a in keep]
-        self._whiten = [row[: i + 1] for i, row in enumerate(whiten)]
-        self._implied = [(j, off, list(zip(keep, coef))) for j, off, coef in zip(dep, dep_offset, dep_coef)]
-
-    def _kernel(self, v, ok, maximum):
-        """``(ok, score)`` of one row (``v`` floats, ``maximum`` max) or of many
-        (``v`` numpy columns, ``maximum`` np.maximum); ``ok`` is False where a
-        dependent coordinate misses its implied value by more than
-        ``1e-9 * max(tol_scale, max |v|)``.  Only elementwise multiplies and
-        adds run, in one fixed order, so a row scores the same bits alone or in
-        a batch; rank 0 scores +0.0.
-        """
-        scale = self.tol_scale
-        for x in v:
-            scale = maximum(scale, abs(x))
-        tol = 1e-9 * scale
-        for j, implied, coefs in self._implied:
-            for a, c in coefs:
-                implied = implied + c * v[a]
-            ok = ok & (abs(v[j] - implied) <= tol)
-        d = [v[a] - mu for a, mu in self._centre]
-        quad = 0.0
-        for row in self._whiten:
-            z = 0.0
-            for w, da in zip(row, d):
-                z = z + w * da
-            quad = quad + z * z
-        return ok, 0.0 - 0.5 * ((self.rank * _LOG_2PI + self.logdet) + quad)
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        self._mean = np.asarray(mean, dtype=float)
+        a = np.array(cov, dtype=float)
+        m = len(self._mean)
+        guard = 1e-12 * a.trace()
+        lower = np.zeros((m, m))
+        keep = []
+        for j in range(m):
+            if a[j, j] > guard:  # variance of j left over by the kept coordinates before it
+                col = lower[j:, j] = a[j:, j] / math.sqrt(a[j, j])
+                a[j:, j:] -= col[:, None] * col
+                keep.append(j)
+        self.keep, self.dep, self.rank = keep, [j for j in range(m) if j not in keep], len(keep)
+        kept = lower[:, keep]
+        self.logdet = 2.0 * float(np.log(kept[keep].diagonal()).sum())
+        self._whiten = np.linalg.inv(kept[keep])
+        self._implied = kept[self.dep]  # a dependent deviation is this times the whitened kept ones
+        self.tol_scale = max(1.0, float(np.max(np.abs(self._mean), initial=0.0)))
 
     def logpdf(self, values: Sequence[float]) -> float:
-        ok, score = self._kernel(np.asarray(values, dtype=float).tolist(), True, max)
-        return score if ok else _NEG_INF
+        return float(self.logpdf_batch(np.asarray(values, dtype=float)[None])[0])
 
     def logpdf_batch(self, values: np.ndarray) -> np.ndarray:
         V = np.asarray(values, dtype=float)
-        if len(V) < _PYTHON_ROWS:  # the same bits as the numpy columns, only faster here
-            scored = (self._kernel(row, True, max) for row in V.tolist())
-            return np.array([score if ok else _NEG_INF for ok, score in scored], dtype=float)
-        cols = list(np.ascontiguousarray(V.T))
-        ok, score = self._kernel(cols, np.ones(len(V), dtype=bool), np.maximum)
+        d = V - self._mean
+        z = d[:, self.keep] @ self._whiten.T
+        tol = 1e-9 * np.maximum(self.tol_scale, np.max(np.abs(V), axis=1, initial=0.0))
+        ok = np.all(np.abs(d[:, self.dep] - z @ self._implied.T) <= tol[:, None], axis=1)
+        score = 0.0 - 0.5 * ((self.rank * _LOG_2PI + self.logdet) + (z * z).sum(axis=1))
         return np.where(ok, score, _NEG_INF)
 
 
-def _factorise(means: np.ndarray, covs: np.ndarray) -> list[tuple]:
-    """ReducedGaussian's factors of each (mean, covariance) pair of a stack
-    (``means`` k x m, ``covs`` k x m x m), in stack order.
+class _PrivateLoads:
+    """One tree's sensor readings as independent private loads.
 
-    The elimination runs per covariance on Python floats: the float
-    operations of a numpy elimination, so the same bits, without its call
-    overhead on these small matrices.  The rest runs once per rank, on the
-    pairs of that rank stacked: the log-determinant, ``np.linalg.inv`` of
-    the kept rows and the dependent coefficients.  A stacked numpy call
-    makes each matrix's own call, so a pair gets the same factors in any
-    stack, alone included.  Per pair: kept and dependent coordinates,
-    log-determinant, whitening rows, and the dependent coordinates'
-    coefficient rows and offsets, as lists.
+    A load's owner is the first sensor edge on its path to the root; a
+    co-tree sensor owns nothing.  A sensor's private reading, its signed
+    reading less those of its children (the sensors directly below it), is
+    the sum of the loads it owns: a Gaussian of the owned mean and variance,
+    independent of the others.  The readings are ``S A q`` for the private
+    readings ``q``, the signs ``S`` and the sensor forest's ancestor matrix
+    ``A``, which is totally unimodular, so on any maximal independent subset
+    of the readings (ReducedGaussian's kept ones) the change of coordinates
+    has determinant +-1, and the log-likelihood is a sum of scalar terms.
+
+    Per sensor in placement order: ``table`` holds the sign (+1 off the
+    tree), the owned mean, and the owned variance d or +inf where d is at
+    most the guard ``1e-12 * trace`` of the readings' covariance; ``links``
+    holds the parent sensor and the rank among its siblings (-1 for none).
+    ``rounds`` is the most children of a sensor, ``const`` the sum of
+    ``log(2 pi d)`` over the d above the guard, and ``scale`` is
+    ``max(1, max |forecast reading|)``: the guard and scale ReducedGaussian
+    takes.
     """
-    guards = (1e-12 * covs.trace(axis1=1, axis2=2)).tolist()
-    m = covs.shape[1]
-    by_rank: dict[int, list] = {}
-    for t, (a, guard, mean) in enumerate(zip(covs.tolist(), guards, means.tolist())):
-        lower = [0.0] * (m * m)  # the Cholesky factor, row-major
-        keep = []
-        for j in range(m):
-            if a[j][j] > guard:  # variance of j left over by the kept coordinates before it
-                root = math.sqrt(a[j][j])
-                col = [row[j] / root for row in a[j:]]
-                for i in range(1, m - j):  # the residual's lower triangle, less col col^T
-                    row, c = a[j + i], col[i]
-                    for q in range(1, i + 1):
-                        row[j + q] -= c * col[q]
-                lower[j * (m + 1) :: m] = col  # column j, from row j down
-                keep.append(j)
-        order = keep + [j for j in range(m) if j not in keep]  # kept coordinates first
-        kept_cols = [lower[i * m + j] for i in order for j in keep]
-        by_rank.setdefault(len(keep), []).append((t, order, kept_cols, [mean[i] for i in order]))
-    out = [()] * len(guards)
-    for r, group in by_rank.items():
-        ts, orders, kept_cols, centres = zip(*group)
-        L = np.array(kept_cols, dtype=float).reshape(len(ts), m, r)
-        centres = np.array(centres, dtype=float).reshape(len(ts), m, 1)
-        L_keep = L[:, :r]
-        logdet = 2.0 * np.log(L_keep.diagonal(0, 1, 2)).sum(axis=1)
-        whiten = np.linalg.inv(L_keep)  # lower triangular, as L_keep is
-        dep_coef = L[:, r:] @ whiten
-        dep_offset = centres[:, r:, 0] - (dep_coef @ centres[:, :r])[:, :, 0]
-        rows = zip(logdet.tolist(), whiten.tolist(), dep_coef.tolist(), dep_offset.tolist())
-        for t, o, row in zip(ts, orders, rows):
-            out[t] = (o[:r], o[r:], *row)
-    return out
+
+    __slots__ = ("table", "links", "rounds", "const", "scale")
+
+    def __init__(self, cache: "HypothesisCache", tree: SpanningTree):
+        graph, slot = cache.graph, cache._slot
+        m = len(slot)
+        sign, up, mean, var = [1.0] * m, [-1] * m, [0.0] * m, [0.0] * m
+        parent, _, order = root_tree(graph, tree)
+        owner = {graph.root: -1}
+        for v in order[1:]:
+            above, eid = parent[v]
+            k = slot.get(eid)
+            if k is None:
+                owner[v] = owner[above]
+            else:
+                owner[v], up[k] = k, owner[above]
+                sign[k] = 1.0 if graph.edges[eid][1] == v else -1.0
+        reading, spread = [0.0] * m, [0.0] * m  # per sensor: forecast reading, its variance
+        for v, mu, sd2 in zip(graph.load_vertices, cache._means, cache._variances):
+            k = owner[v]
+            if k >= 0:
+                mean[k] += mu
+                var[k] += sd2
+            while k >= 0:  # the load's owner and every sensor above it
+                reading[k] += mu
+                spread[k] += sd2
+                k = up[k]
+        guard = 1e-12 * sum(spread)
+        rank, children = [-1] * m, [0] * m
+        for k, p in enumerate(up):
+            if p >= 0:
+                rank[k], children[p] = children[p], children[p] + 1
+        kept = [d for d in var if d > guard]
+        self.const = len(kept) * _LOG_2PI + sum(map(math.log, kept))
+        self.scale = max([1.0, *map(abs, reading)])
+        self.table = np.array([sign, mean, [d if d > guard else math.inf for d in var]])
+        self.links = np.array([up, rank], dtype=np.intp).reshape(2, m)
+        self.rounds = max(children, default=0)
+
+
+def _score(laws: Sequence[_PrivateLoads], readings: np.ndarray) -> np.ndarray:
+    """Trees x rows: the log-likelihood of each row of ``readings`` under each law.
+
+    Per tree and row, the sum over d > guard of ``-(log(2 pi d) + z^2 / d) / 2``
+    for ``z`` the private reading less its mean, or -inf where a sensor with d
+    at most the guard has ``|z| > 1e-9 * max(scale, max |r|)``.  Only
+    elementwise operations run, in one order per tree (children by rank,
+    terms summed sensor by sensor in placement order), so a tree scores the
+    same bits alone or stacked, on one row or on a block of any size.
+    """
+    n, m = readings.shape
+    if not laws:
+        return np.zeros((0, n))
+    step = max(1, 2**14 // max(n * m, 1))  # trees per stack, so no stack outgrows 2**14 floats
+    if len(laws) > step:
+        return np.concatenate([_score(laws[i : i + step], readings) for i in range(0, len(laws), step)])
+    sign, mean, var = np.concatenate([law.table for law in laws], axis=1)  # rows (tree, sensor)
+    up, rank = np.concatenate([law.links for law in laws], axis=1)
+    if len(laws) > 1:
+        up = up + np.repeat(np.arange(len(laws)) * m, m)  # the parent's row in the stack
+    cols = np.ascontiguousarray(readings.T)  # one row per sensor
+    w = (sign.reshape(len(laws), m, 1) * cols).reshape(len(sign), n)
+    z = w - mean[:, None]
+    for j in range(max(law.rounds for law in laws)):
+        child = np.flatnonzero(rank == j)  # at most one child of each parent
+        z[up[child]] -= w[child]
+    z, var = z.reshape(len(laws), m, n), var.reshape(len(laws), m, 1)
+    quad = sum((z * z / var).swapaxes(0, 1))  # sensor by sensor, in placement order
+    const, scale = np.array([(law.const, law.scale) for law in laws]).T
+    tol = 1e-9 * np.maximum(scale[:, None], np.max(np.abs(cols), axis=0, initial=0.0))
+    bad = ((np.abs(z) > tol[:, None]) & (var == math.inf)).any(axis=1)
+    return np.where(bad, _NEG_INF, 0.0 - 0.5 * (const[:, None] + quad))
 
 
 class HypothesisCache:
-    """Per-(graph, placement, model) memo of hypothesis sets, distributions and bases."""
+    """Per-(graph, placement, model) memo of hypothesis sets, private-load
+    laws (``gaussian``), zero-flow Gaussians and cycle bases.  The model and
+    sensor ids are checked once, here, not per tree."""
 
     def __init__(self, graph: Graph, placement: Placement, model: LoadModel):
-        # the checks of the first Gaussian build, made here because a pruned
-        # detection may build none
         model.check_graph(graph)
         for eid in placement.edge_ids:
             graph.check_edge(eid)
         self.graph = graph
         self.placement = placement
         self.model = model
+        self._slot = {eid: k for k, eid in enumerate(placement.edge_ids)}
+        self._means, self._variances = model.means.tolist(), model.variances.tolist()
         self._hypotheses: dict[frozenset, list[SpanningTree]] = {}
-        self._gaussians: dict[frozenset, ReducedGaussian] = {}
+        self._laws: dict[frozenset, _PrivateLoads] = {}
         self._zero_flow: dict[frozenset, tuple[list[int], ReducedGaussian]] = {}
         self._J: np.ndarray | None = None
         self._bases: dict[frozenset, object] = {}
@@ -250,21 +272,16 @@ class HypothesisCache:
             self._hypotheses[key] = list(enumerate_spanning_trees(self.graph, key))
         return self._hypotheses[key]
 
-    def gaussians(self, trees: Sequence[SpanningTree]) -> list[ReducedGaussian]:
-        """The Gaussian of each tree; those not built yet are factored as one stack."""
-        todo = [t for t in dict.fromkeys(trees) if t.edge_ids not in self._gaussians]
-        if todo:
-            dists = [hypothesis_flow_distribution(self.graph, t, self.placement, self.model) for t in todo]
-            means, covs = map(np.array, zip(*dists))
-            for tree, (mean, cov), factors in zip(todo, dists, _factorise(means, covs)):
-                self._gaussians[tree.edge_ids] = ReducedGaussian(mean, cov, factors)
-        return [self._gaussians[t.edge_ids] for t in trees]
-
-    def gaussian(self, tree: SpanningTree) -> ReducedGaussian:
-        return self.gaussians([tree])[0]
+    def gaussian(self, tree: SpanningTree) -> _PrivateLoads:
+        """The private-load law of ``tree``'s readings, made on first use."""
+        law = self._laws.get(tree.edge_ids)
+        if law is None:
+            law = self._laws[tree.edge_ids] = _PrivateLoads(self, tree)
+        return law
 
     def loglik(self, tree: SpanningTree, observation: Sequence[float]) -> float:
-        return self.gaussian(tree).logpdf(observation)
+        """Log-likelihood of ``observation`` (checked by ``_observation``) under ``tree``."""
+        return float(_score([self.gaussian(tree)], _observation(observation, self.placement)[None])[0, 0])
 
     def zero_flow(self, tree: SpanningTree) -> tuple[list[int], ReducedGaussian]:
         """Co-tree edge ids and Gaussian of ``tree``'s zero-flow statistic."""
@@ -313,17 +330,19 @@ def _observation_and_cache(graph, placement, model, observation, cache):
 def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndarray) -> frozenset:
     """Sensor edges whose reading rules out every tree that lacks them.
 
-    The threshold is ``1e-9 * max(1, 2 * sum|mu|, max|s|)``.  Every entry of an
-    observation matrix is 0 or +-1, so every hypothesis mean entry satisfies
-    |mean_T| <= sum|mu|; the factor 2 absorbs its rounding.  The threshold is
-    therefore at least ReducedGaussian's consistency tolerance
-    ``1e-9 * max(tol_scale, max|s|)`` for every tree.  A tree without sensor
-    edge e has an all-zero row for e: zero mean, zero variance, so e is always
-    a dependent coordinate whose implied value is exactly 0, and a reading on
-    e above the threshold makes that tree's log-likelihood -inf.
+    The threshold is ``1e-9 * max(1, 2 * sum|mu|, max|s|)``.  Every forecast
+    reading is a signed sum of a subset of the load means, so its magnitude
+    is at most sum|mu| up to rounding, which the factor 2 absorbs; the
+    threshold is therefore at least the private-load tolerance
+    ``1e-9 * max(scale, max|s|)`` of every tree.  A tree without sensor edge
+    e makes e a co-tree sensor: it owns no load, so its owned mean and
+    variance are 0, at most the guard, and its private reading is its
+    reading.  A reading on e above the threshold is above that tree's
+    tolerance, so the tree's log-likelihood is -inf.
 
     So such trees score -inf unbuilt: ``detect_map`` counts them without
-    enumerating them, and a HypothesisBank does not score them.  Cycle
+    enumerating them, and a HypothesisBank builds none that lacks a support
+    edge of every row it holds.  Cycle
     descent never leaves the trees holding the support: its start tree
     (``feasible_tree``, whose zero tolerance is lower) holds every support
     edge, and a -inf candidate never beats the current likelihood.
@@ -425,7 +444,7 @@ def detect_map(
     Ties go to the first hypothesis in enumeration order (the smallest
     sorted edge tuple).  Raises if every hypothesis is impossible.
     Only the trees holding the sensor support as well are enumerated, and
-    their Gaussians built as one stack; every other tree scores -inf (see
+    scored as one stack; every other tree scores -inf (see
     ``_sensor_support``) and is counted, not enumerated: ``iterations`` is
     the matrix-tree count of the trees holding ``restriction``, and those
     not enumerated count in ``pruned``.  Support edges are common to every
@@ -440,7 +459,7 @@ def detect_map(
         hypotheses = cache.hypotheses(restriction | _sensor_support(placement, model, observation))
     except InfeasibleConstraintError:  # the support closes a cycle: no tree holds it
         hypotheses = []
-    scores = [g.logpdf(observation) for g in cache.gaussians(hypotheses)]
+    scores = _score([cache.gaussian(t) for t in hypotheses], observation[None])[:, 0]
     return _most_likely(hypotheses, scores, "map", iterations)
 
 
@@ -513,12 +532,7 @@ def zero_flow_statistic(
     indices = tree.cotree(graph)
     H = J[list(indices), :]
     _, cov = hypothesis_flow_distribution(graph, tree, placement, model)
-    cov = H @ cov @ H.T
-    return ZeroFlowStatistic(
-        indices=indices,
-        covariance=cov,
-        transform=H,
-    )
+    return ZeroFlowStatistic(indices=indices, covariance=H @ cov @ H.T, transform=H)
 
 
 def detect_zero_flow_map(
@@ -535,6 +549,8 @@ def detect_zero_flow_map(
     hypothesis by how plausibly its co-tree entries are zero.  Selects the
     same tree as detect_map for minimal valid placements.  ``cache`` is
     optional; pass one to reuse the statistics' Gaussians across calls.
+    The statistics' covariances are general, so each is scored by a
+    ReducedGaussian.
     UnsupportedPlacementError unless |M| is the circuit rank; the flow solve
     raises InvalidPlacementError unless the unmeasured edges form a spanning tree.
     """
@@ -564,8 +580,8 @@ def detect_fmst(
     """Two-step approximation: relaxed flow from forecasts, then the spanning
     tree carrying the largest total |flow| (greedy, ties by edge id).
 
-    The chosen tree is scored by its Gaussian log-likelihood.  ``cache`` is
-    optional; pass one to reuse hypothesis Gaussians across calls.
+    The chosen tree is scored by its log-likelihood.  ``cache`` is
+    optional; pass one to reuse private-load laws across calls.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     [tree] = _fmst_trees(cache, observation[None], required_edges)
@@ -728,15 +744,13 @@ class HypothesisBank:
     stands for no tree, scores -inf and has no neighbours, so a walk from -1
     stays at -1.
 
-    Per loaded row the bank keeps the sensor support (``_support_mask``).  A
-    tree's score column is filled on first use, and only the rows whose
-    support the tree holds are scored; every other row scores -inf, which
-    ``_sensor_support`` shows is exact.  A tree holding the support edges of
-    every row scores every row, and one lacking an edge that every row's
-    support has scores none; only the trees between the two read the mask,
-    so a one-row load never does.  Memory per loaded block is one float per
-    (row, numbered tree), NaN until scored, and a spare last entry that
-    number -1 reads.
+    A tree's score column is filled on first use: the trees a fill needs
+    are scored as one stack of private-load laws on the whole block
+    (``_score``).  A tree lacking a sensor-support edge of every loaded row
+    (``_support_mask``) scores -inf on every row unbuilt, and one lacking a
+    support edge of some rows scores -inf on those; ``_sensor_support``
+    shows why.  Memory per loaded block is one float per (row, numbered
+    tree), NaN until scored, and a spare last entry that number -1 reads.
     """
 
     def __init__(
@@ -787,31 +801,16 @@ class HypothesisBank:
     def load(self, readings: np.ndarray) -> None:
         """Make ``readings`` (one row per observation) the block that is scored."""
         self.readings = np.asarray(readings, dtype=float)
-        self._support = _support_mask(self.cache.model, self.readings)
-        # the edges in some row's support and in every row's support
-        sensors = self.cache.placement.edge_ids
-        self._needed_by_some = frozenset(compress(sensors, self._support.any(axis=0)))
-        self._needed_by_all = frozenset(compress(sensors, self._support.all(axis=0)))
+        every_row = _support_mask(self.cache.model, self.readings).all(axis=0)
+        self._needed = frozenset(compress(self.cache.placement.edge_ids, every_row))
         self._scores = None  # the last block's scores go before this block's are made
         self._scores = np.full((self._capacity + 1, len(self.readings)), np.nan)
         self._scores[-1] = _NEG_INF
 
     def _fill(self, ids) -> None:
-        sensors = self.cache.placement.edge_ids
-        held = {}  # tree number -> the rows whose support it holds, if any
-        for i in ids:
-            edges = self.trees[i].edge_ids
-            self._scores[i] = _NEG_INF
-            if self._needed_by_some <= edges:  # holds every row's support
-                held[i] = slice(None)
-            elif self._needed_by_all <= edges:  # some rows may be held: ask the mask
-                lacking = [k for k, eid in enumerate(sensors) if eid not in edges]
-                holds = ~self._support[:, lacking].any(axis=1)
-                if holds.any():
-                    held[i] = holds
-        gaussians = self.cache.gaussians([self.trees[i] for i in held])
-        for (i, rows), gaussian in zip(held.items(), gaussians):
-            self._scores[i, rows] = gaussian.logpdf_batch(self.readings[rows])
+        held = [i for i in ids if self._needed <= self.trees[i].edge_ids]
+        self._scores[ids] = _NEG_INF
+        self._scores[held] = _score([self.cache.gaussian(self.trees[i]) for i in held], self.readings)
 
     def score(self, rows, ids) -> np.ndarray:
         """Scores of trees ``ids`` on loaded rows ``rows``; ``rows`` broadcasts
@@ -819,7 +818,7 @@ class HypothesisBank:
         scores = self._scores[ids, rows]
         missing = np.isnan(scores)
         if missing.any():
-            self._fill(dict.fromkeys(ids[missing].tolist()))
+            self._fill(list(dict.fromkeys(ids[missing].tolist())))
             scores = self._scores[ids, rows]
         return scores
 

@@ -109,8 +109,11 @@ def observation_matrix_from_incidence(
 
     Solves B_w^r f = y^r for the tree-edge flows and reads off the rows of
     the inverse at the measured edges; kept as an independent route for
-    cross-checking the traversal construction.
+    cross-checking the traversal construction.  UnknownEdgeError for a
+    sensor id that is not an edge, as ``observation_matrix`` raises.
     """
+    for eid in placement.edge_ids:
+        graph.check_edge(eid)
     tree_cols = sorted(tree.edge_ids)
     Bw = graph.reduced_incidence[:, tree_cols]
     inv = np.linalg.inv(Bw)

@@ -186,16 +186,12 @@ def build_incidence(graph: Graph) -> np.ndarray:
     return B
 
 
-def connected_component_count(graph: Graph) -> int:
+def circuit_rank(graph: Graph) -> int:
+    """Dimension of the cycle space: |E| - |V| + (number of components)."""
     uf = UnionFind(graph.n_vertices)
     for u, v in graph.edges:
         uf.union(graph.vertex_index(u), graph.vertex_index(v))
-    return uf.n_components
-
-
-def circuit_rank(graph: Graph) -> int:
-    """Dimension of the cycle space: |E| - |V| + (number of components)."""
-    return graph.n_edges - graph.n_vertices + connected_component_count(graph)
+    return graph.n_edges - graph.n_vertices + uf.n_components
 
 
 def is_spanning_tree(graph: Graph, edge_ids: Iterable[int]) -> bool:

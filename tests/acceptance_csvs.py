@@ -7,8 +7,7 @@ The producers are the ``_produce_*`` functions of ``test_acceptance.py``,
 run with the same seeds as the acceptance tests.  The sweeps run the CLI
 on the island fixture (placement 6 7 10 12, ``--require-tau``, sigma 0.05,
 0.2 and 0.5) for every detector in ``DETECTOR_NAMES``, with and without
-``--local-search``, at 3 and 40 trials per cell: below and above the
-batch size at which scoring switches from Python floats to numpy columns.
+``--local-search``, at 3 and 40 trials per cell.
 
 ``detect_calls.txt`` holds one line per per-call result of ``detect_map``,
 ``detect_zero_flow_map``, ``detect_fmst``, ``detect_cycle_descent`` and

@@ -36,15 +36,14 @@ from gridtree import (
     zero_flow_transform,
 )
 from gridtree.detect import (
-    _PYTHON_ROWS,
     DETECTORS,
     HypothesisBank,
     HypothesisCache,
     ReducedGaussian,
     _descent_walk,
-    _factorise,
     _first_best,
     _local_walk,
+    _score,
 )
 from conftest import lattice_graph, random_connected_graph
 from test_prune import _snapshot
@@ -217,109 +216,85 @@ class TestFactorisationMatchesEigenvalueScan:
         assert counts["inf"] > 0 and counts["finite"] > 0
 
 
-def _bits(x):
-    """``x`` with every float replaced by its hex form, so that == compares bits."""
-    if isinstance(x, float):
-        return x.hex()
-    if isinstance(x, (list, tuple)):
-        return [_bits(v) for v in x]
-    return x
-
-
-def _factors(rg):
-    """Every factor ``_kernel`` reads, as bits."""
-    return _bits([rg.keep, rg.dep, rg.logdet, rg._centre, rg._whiten, rg._implied])
-
-
-def _numpy_factors(mean, cov):
-    """``_factors`` of one covariance factored by a numpy elimination in
-    coordinate order, one matrix at a time, as ReducedGaussian was built
-    before its factorisation was stacked."""
-    m = len(mean)
-    A = np.array(cov, dtype=float)
-    guard = 1e-12 * float(A.trace())
-    L = np.zeros((m, m))
-    keep = []
-    for j in range(m):
-        if A[j, j] > guard:
-            col = L[j:, j] = A[j:, j] / np.sqrt(A[j, j])
-            A[j:, j:] -= col[:, None] * col
-            keep.append(j)
-    dep = [j for j in range(m) if j not in keep]
-    L = L[:, keep]
-    whiten = np.linalg.inv(L[keep])
-    coef = L[dep] @ whiten
-    offset = mean[dep] - coef @ mean[keep]
-    return _bits([
-        keep,
-        dep,
-        2.0 * float(np.log(L[keep].diagonal()).sum()),
-        [(a, float(mean[a])) for a in keep],
-        [row[: i + 1] for i, row in enumerate(whiten.tolist())],
-        [(j, off, list(zip(keep, c))) for j, off, c in zip(dep, offset.tolist(), coef.tolist())],
-    ])
+def _law_scores(graph, trees, placement, model, V):
+    """Trees x rows: each tree's private-load scores of the rows of V, one
+    tree at a time, and the same trees scored as one stack."""
+    cache = HypothesisCache(graph, placement, model)
+    laws = [cache.gaussian(t) for t in trees]
+    return np.array([_score([law], V)[0] for law in laws]), _score(laws, V)
 
 
 class TestStackedFactorisation:
-    """A Gaussian factored in a stack of mixed ranks has the same factors,
-    bit for bit, as the same Gaussian factored alone, and as a numpy
-    elimination of that one matrix."""
+    """A tree's private-load scores are the same bits scored alone as in a
+    stack of trees, and agree with its ReducedGaussian to a relative 1e-12,
+    with the same -inf rows; ReducedGaussian in turn keeps what the
+    eigenvalue scan keeps on random rank-deficient covariances."""
 
     @staticmethod
-    def _check_cache(graph, trees, placement, model, ranks):
-        stacked = HypothesisCache(graph, placement, model).gaussians(trees)
-        for tree, rg in zip(trees, stacked):
-            mean, cov = hypothesis_flow_distribution(graph, tree, placement, model)
-            alone = ReducedGaussian(mean, cov)
-            assert _factors(rg) == _factors(alone) == _numpy_factors(mean, cov)
-        ranks.append({rg.rank for rg in stacked})
+    def _check(graph, trees, placement, model, rng, counts):
+        x = model.means + model.stddevs * rng.standard_normal(len(model.means))
+        V = np.array([observation_matrix(graph, t, placement) @ x for t in trees])
+        alone, stacked = _law_scores(graph, trees, placement, model, V)
+        assert alone.tobytes() == stacked.tobytes()
+        for tree, got in zip(trees, alone):
+            ref = ReducedGaussian(*hypothesis_flow_distribution(graph, tree, placement, model)).logpdf_batch(V)
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            finite = np.isfinite(ref)
+            assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+            counts["inf"] += int((~finite).sum())
+            counts["finite"] += int(finite.sum())
 
     def test_island_trees(self, island, tau_trees, tau_placements):
-        ranks = []
+        rng = np.random.default_rng(51)
+        counts = {"inf": 0, "finite": 0}
         for pl in tau_placements[::4]:
             for model in (island.load_model.with_stddev(0.2), island.load_model.with_cv(5.0)):
-                self._check_cache(island.graph, tau_trees, pl, model, ranks)
-        assert max(map(len, ranks)) > 1
+                self._check(island.graph, tau_trees, pl, model, rng, counts)
+        assert min(counts.values()) > 0
 
     def test_lattice_trees(self):
         rng = np.random.default_rng(53)
         g = lattice_graph(4)
         n = len(g.load_vertices)
-        ranks = []
+        counts = {"inf": 0, "finite": 0}
         for k in range(6):
             trees = [max_weight_spanning_tree(g, rng.random(g.n_edges)) for _ in range(10)]
             pl = tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges)))
             variances = np.full(n, 0.04) * (rng.random(n) > 0.3) * (k != 0)  # all exact at k = 0
             model = LoadModel(g.load_vertices, rng.uniform(0.5, 1.5, n), variances)
-            self._check_cache(g, trees, pl, model, ranks)
-        assert {0} in ranks and max(map(len, ranks)) > 1
+            self._check(g, trees, pl, model, rng, counts)
+        assert min(counts.values()) > 0
 
     def test_random_rank_deficient_covariances(self):
         rng = np.random.default_rng(59)
         seen = set()
         for _ in range(40):
-            m, k = int(rng.integers(0, 12)), int(rng.integers(1, 9))
-            means = rng.normal(size=(k, m))
-            covs = np.zeros((k, m, m))
-            for cov in covs:
-                B = rng.normal(size=(m, int(rng.integers(0, m + 1))))
-                cov[:] = B @ B.T
-            stacked = [ReducedGaussian(a, c, f) for a, c, f in zip(means, covs, _factorise(means, covs))]
-            for mean, cov, rg in zip(means, covs, stacked):
-                assert _factors(rg) == _factors(ReducedGaussian(mean, cov)) == _numpy_factors(mean, cov)
-                seen.add(rg.rank)
-        assert 0 in seen and max(seen) >= 8  # rank 0, and log-determinants of 8 terms or more
+            m = int(rng.integers(1, 12))
+            mean = rng.normal(size=m)
+            B = rng.normal(size=(m, int(rng.integers(0, m + 1))))
+            cov = B @ B.T
+            rg = ReducedGaussian(mean, cov)
+            keep = _eigenvalue_scan(cov)
+            assert rg.keep == keep
+            V = mean + rng.normal(size=(6, B.shape[1])) @ B.T  # draws of the Gaussian
+            V = np.vstack([V, V + 1e-3 * rng.normal(size=(6, m))])  # and draws off its support
+            ref = _reference_scores(mean, cov, keep, V)
+            got = rg.logpdf_batch(V)
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            assert got[np.isfinite(ref)] == pytest.approx(ref[np.isfinite(ref)])
+            seen.add(rg.rank)
+        assert 0 in seen and max(seen) >= 8
 
 
 class TestOneRowEqualsBatch:
-    """``logpdf(row)`` and ``logpdf_batch(V)[i]`` are the same bits on every
-    row, -inf rows and rank-0 Gaussians included, both for batches scored as
-    numpy columns and for those under ``_PYTHON_ROWS`` rows, scored one row
-    at a time.  The rows are the exact readings of every tree under one load
-    draw, and the same readings with one entry moved by about the
-    consistency tolerance."""
+    """A tree's private-load score of a row is the same bits in a block of
+    rows of any size as from ``HypothesisCache.loglik`` on that row alone
+    (checked on up to three rows per tree), -inf rows and trees with every load
+    exact included.  The rows are the
+    exact readings of every tree under one load draw, and the same readings
+    with one entry moved by about the consistency tolerance."""
 
-    SMALL = (0, 1, _PYTHON_ROWS - 1, _PYTHON_ROWS, _PYTHON_ROWS + 1)
+    SMALL = (0, 1, 2, 3, 9)
 
     @staticmethod
     def _check(graph, trees, placement, model, rng, counts):
@@ -331,20 +306,23 @@ class TestOneRowEqualsBatch:
         nudged[np.arange(len(V)), col] += step * rng.choice((-1.0, 1.0), len(V))
         V = np.vstack([V, nudged])
         pick = np.random.default_rng(len(V))  # its own stream, so ``rng`` draws the same cases
+        cache = HypothesisCache(graph, placement, model)
         for tree in trees:
-            rg = ReducedGaussian(*hypothesis_flow_distribution(graph, tree, placement, model))
-            batch = rg.logpdf_batch(V)
-            one = np.array([rg.logpdf(v) for v in V])
-            assert one.tobytes() == batch.tobytes(), [
-                (float(a).hex(), float(b).hex()) for a, b in zip(one, batch) if a.tobytes() != b.tobytes()
+            law = cache.gaussian(tree)
+            batch = _score([law], V)[0]
+            rows = pick.choice(len(V), size=min(3, len(V)), replace=False)
+            one = np.array([cache.loglik(tree, V[r]) for r in rows])
+            assert one.tobytes() == batch[rows].tobytes(), [
+                (float(a).hex(), float(b).hex()) for a, b in zip(one, batch[rows]) if a.tobytes() != b.tobytes()
             ]
             for n in TestOneRowEqualsBatch.SMALL:
                 rows = pick.choice(len(V), size=n, replace=n > len(V))
-                small = rg.logpdf_batch(V[rows])
-                assert small.shape == (n,) and small.tobytes() == one[rows].tobytes()
+                small = _score([law], V[rows])[0]
+                assert small.shape == (n,) and small.tobytes() == batch[rows].tobytes()
                 counts["small_inf"] += int(np.isinf(small).sum())
-            counts["rank0"] += rg.rank == 0
-            counts["deficient"] += bool(rg.dep)
+            exact = np.isinf(law.table[2])  # sensors whose owned variance is at most the guard
+            counts["rank0"] += bool(exact.all())
+            counts["deficient"] += bool(exact.any())
             counts["inf"] += int(np.isinf(batch).sum())
             counts["finite"] += int(np.isfinite(batch).sum())
 
@@ -389,31 +367,6 @@ class TestOneRowEqualsBatch:
             model = LoadModel(g.load_vertices, rng.uniform(0.5, 1.5, n), np.full(n, 0.2**2))
             self._check(g, trees, pl, self._exact_loads(model, rng), rng, counts)
         assert min(counts.values()) > 0
-
-
-class TestSmallBatchCountsEachRowOnce:
-    """A batch under ``_PYTHON_ROWS`` rows runs the kernel once per row and
-    never ``logpdf``, so a tracer counting ``logpdf`` calls and
-    ``logpdf_batch`` rows counts each row once."""
-
-    @pytest.mark.parametrize("n", [1, _PYTHON_ROWS - 1, _PYTHON_ROWS, 3 * _PYTHON_ROWS])
-    def test_kernel_runs_per_row_below_the_crossover(self, island, tau_trees, monkeypatch, n):
-        pl = Placement((6, 7, 10, 12))
-        model = island.load_model.with_stddev(0.2)
-        cache = HypothesisCache(island.graph, pl, model)
-        rg = cache.gaussian(tau_trees[5])
-        V = np.array([hypothesis_flow(island.graph, t, pl, model.means) for t in tau_trees[:n]])
-        calls = {"logpdf": 0, "_kernel": 0}
-        for name in calls:
-            original = getattr(ReducedGaussian, name)
-
-            def counting(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(ReducedGaussian, name, counting)
-        assert len(rg.logpdf_batch(V)) == n
-        assert calls == {"logpdf": 0, "_kernel": n if n < _PYTHON_ROWS else 1}
 
 
 class TestCacheMustMatchProblem:
@@ -468,6 +421,16 @@ class TestLogLikelihood:
         assert log_likelihood(island.graph, tree, pl, model, s) == pytest.approx(
             -0.5 * (rg.rank * math.log(2 * math.pi) + rg.logdet)
         )
+
+    def test_observation_checked(self, island, tau_trees):
+        pl = Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        s = hypothesis_flow(island.graph, tau_trees[5], pl, model.means)
+        with pytest.raises(ModelError, match="finite"):
+            log_likelihood(island.graph, tau_trees[5], pl, model, [float("nan"), *s[1:]])
+        for wrong in (s[:3], [*s, 1.0]):
+            with pytest.raises(InvalidPlacementError):
+                log_likelihood(island.graph, tau_trees[5], pl, model, wrong)
 
     def test_symmetric_scalar_tie(self):
         from gridtree import Graph

@@ -110,6 +110,11 @@ class TestObservationMatrix:
                 a = observation_matrix(island.graph, tree, pl)
                 b = observation_matrix_from_incidence(island.graph, tree, pl)
                 assert np.allclose(a, b)
+        # an unknown sensor id raises on both routes, rather than reading as a co-tree sensor
+        for pl in (Placement((-1, 12)), Placement((13,))):
+            for route in (observation_matrix, observation_matrix_from_incidence):
+                with pytest.raises(UnknownEdgeError):
+                    route(island.graph, trees[0], pl)
 
 
 class TestHypothesisFlow:

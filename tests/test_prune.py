@@ -167,14 +167,14 @@ class TestPrunedTreesNotBuilt:
         support = {e for e, v in zip(pl.edge_ids, s) if abs(v) > 1e-6}
         holding = sum(support <= t.edge_ids for t in trees)
         assert 0 < holding < 44
-        builds = []
-        init = gridtree.detect.ReducedGaussian.__init__
+        builds = []  # fills of the per-tree memo of private-load laws
+        init = gridtree.detect._PrivateLoads.__init__
 
         def counting_init(self, *args, **kwargs):
             builds.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(gridtree.detect.ReducedGaussian, "__init__", counting_init)
+        monkeypatch.setattr(gridtree.detect._PrivateLoads, "__init__", counting_init)
         model = island.load_model.with_stddev(0.2)
         r = detect_map(g, pl, model, s, restriction=island.tau)
         assert r.tree == true

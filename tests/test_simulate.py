@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import subprocess
@@ -142,14 +143,14 @@ class TestStochasticSweep:
             assert len(a.splitlines()) == 1 + n * n * 44 * 2
 
     def test_one_gaussian_build_per_hypothesis_per_group(self, island, tau_family, monkeypatch):
-        builds = []
-        init = gridtree.detect.ReducedGaussian.__init__
+        builds = []  # fills of the per-tree memo of private-load laws
+        init = gridtree.detect._PrivateLoads.__init__
 
         def counting_init(self, *args, **kwargs):
             builds.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(gridtree.detect.ReducedGaussian, "__init__", counting_init)
+        monkeypatch.setattr(gridtree.detect._PrivateLoads, "__init__", counting_init)
         config = ExperimentConfig(
             graph=island.graph,
             load_model=island.load_model,
@@ -417,12 +418,21 @@ class TestCsvFiles:
 class TestLazyProcessPool:
     def test_import_leaves_the_pool_unloaded(self):
         # a sweep with one worker never needs concurrent.futures.process or
-        # multiprocessing; run_stochastic_sweep imports them for workers > 1
+        # multiprocessing; run_stochastic_sweep imports them for workers > 1.
+        # Importing the package and its CLI loads nothing outside the
+        # standard library but numpy and gridtree: start-up time is imports.
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, gridtree; print('concurrent.futures.process' in sys.modules)"
+        code = (
+            "import sys; before = set(sys.modules); import gridtree, gridtree.cli; "
+            "print('concurrent.futures.process' in sys.modules); "
+            "print(sorted({n.split('.')[0] for n in set(sys.modules) - before}))"
+        )
         env = dict(os.environ, PYTHONPATH=str(src))
         res = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        pool, loaded = res.stdout.splitlines()
+        assert pool == "False"
+        outside = [n for n in ast.literal_eval(loaded) if n not in sys.stdlib_module_names]
+        assert outside == ["gridtree", "numpy"]
