@@ -33,8 +33,6 @@ from .graph import (
     max_weight_spanning_tree,
 )
 from .cycles import (
-    EdgeExchange,
-    ExchangeMove,
     FundamentalCycleBasis,
     apply_edge_exchange,
     encode_edge_exchange,
@@ -67,7 +65,6 @@ from .fixture import IslandFixture, build_island_fixture
 from .detect import (
     DetectionResult,
     HypothesisCache,
-    ZeroFlowStatistic,
     detect_cycle_descent,
     detect_deterministic,
     detect_enumeration_oracle,
@@ -81,7 +78,6 @@ from .detect import (
     zero_flow_transform,
 )
 from .simulate import (
-    DeterministicReport,
     ErrorReport,
     ExperimentConfig,
     PlacementRanking,

@@ -27,11 +27,13 @@ on one row for ``detect_cycle_descent`` and ``local_map_search`` and on
 every loaded row for the Monte Carlo sweep, a row without a tree (-1)
 staying at -1.
 
-A tree lacking a sensor-support edge scores -inf (``_sensor_support``), so
-``detect_map`` neither enumerates nor builds such trees: it enumerates the
-trees holding the restriction and the support, and counts the others by the
-matrix-tree theorem.  Nor does a bank build a tree that lacks a support
-edge shared by every loaded row.
+Two facts carry the rest.  The deterministic decoder, ``detect_fmst`` and
+the zero-flow test each read one relaxed flow, ``relaxed_flow_solution``:
+the sensor edges pinned to their readings, the unmeasured tree solved.
+And a tree lacking a sensor edge that reads nonzero scores -inf
+(``_sensor_support``, on one row or a block): ``detect_map`` counts such
+trees by the matrix-tree theorem instead of enumerating them, and a bank
+numbers them, as walks meet them, but never builds them.
 
 Per-call and batch MAP (and ``detect_zero_flow_map``) pick with one
 first-best rule, ``_first_best``; ``detect_fmst`` and its batch form share
@@ -61,13 +63,7 @@ from .errors import (
     NoFeasibleHypothesisError,
     UnsupportedPlacementError,
 )
-from .flows import (
-    LoadModel,
-    _solve_unmeasured,
-    hypothesis_flow_distribution,
-    relaxed_flow_solution,
-    tree_edge_flows,
-)
+from .flows import LoadModel, hypothesis_flow_distribution, relaxed_flow_solution, tree_edge_flows
 from .graph import (
     Graph,
     SpanningTree,
@@ -79,7 +75,7 @@ from .graph import (
     root_tree,
 )
 from .cycles import fundamental_cycle_basis
-from .placement import Placement, is_valid_placement
+from .placement import Placement
 
 _NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -327,8 +323,9 @@ def _observation_and_cache(graph, placement, model, observation, cache):
     return _observation(observation, placement), cache
 
 
-def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndarray) -> frozenset:
-    """Sensor edges whose reading rules out every tree that lacks them.
+def _sensor_support(placement: Placement, model: LoadModel, readings: np.ndarray) -> frozenset:
+    """Sensor edges whose reading rules out every tree that lacks them, on
+    every row of ``readings`` (one observation, or a block of them).
 
     The threshold is ``1e-9 * max(1, 2 * sum|mu|, max|s|)``.  Every forecast
     reading is a signed sum of a subset of the load means, so its magnitude
@@ -338,24 +335,18 @@ def _sensor_support(placement: Placement, model: LoadModel, observation: np.ndar
     e makes e a co-tree sensor: it owns no load, so its owned mean and
     variance are 0, at most the guard, and its private reading is its
     reading.  A reading on e above the threshold is above that tree's
-    tolerance, so the tree's log-likelihood is -inf.
+    tolerance, so the tree's log-likelihood is -inf.  On a block, an edge
+    supported on every row rules out the trees lacking it on every row.
 
     So such trees score -inf unbuilt: ``detect_map`` counts them without
-    enumerating them, and a HypothesisBank builds none that lacks a support
-    edge of every row it holds.  Cycle
-    descent never leaves the trees holding the support: its start tree
-    (``feasible_tree``, whose zero tolerance is lower) holds every support
-    edge, and a -inf candidate never beats the current likelihood.
+    enumerating them, and a HypothesisBank numbers them but builds none.
+    Cycle descent never leaves the trees holding the support: its start
+    tree (``feasible_tree``, whose zero tolerance is lower) holds every
+    support edge, and a -inf candidate never beats the current likelihood.
     """
-    return frozenset(
-        eid for eid, held in zip(placement.edge_ids, _support_mask(model, observation)) if held
-    )
-
-
-def _support_mask(model: LoadModel, readings: np.ndarray) -> np.ndarray:
-    """True where a reading is a support reading by ``_sensor_support``'s
-    threshold; ``readings`` is one observation or a block of them, one per row."""
-    return _nonzero_pattern(readings, floor=max(1.0, 2.0 * float(np.abs(model.means).sum())))
+    floor = max(1.0, 2.0 * float(np.abs(model.means).sum()))
+    held = _nonzero_pattern(np.atleast_2d(readings), floor).all(axis=0)
+    return frozenset(compress(placement.edge_ids, held))
 
 
 def log_likelihood(
@@ -387,8 +378,6 @@ def detect_deterministic(
     which carry no flow when their feeder serves no island) is the answer.
     Anything else means the observation cannot come from these loads.
     """
-    if not is_valid_placement(graph, placement):
-        raise InvalidPlacementError("deterministic decoding needs a valid placement")
     x = _finite(loads, "loads")
     f = relaxed_flow_solution(graph, placement, x, _observation(observation, placement))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)))
@@ -497,16 +486,13 @@ def _most_likely(hypotheses: Sequence[SpanningTree], scores, method: str, iterat
 def zero_flow_transform(graph: Graph, placement: Placement) -> np.ndarray:
     """|E| x |M| sensitivity of the relaxed flow to the sensor readings.
 
-    Column k is the signed indicator of the fundamental cycle that sensor k's
-    edge closes against the unmeasured spanning tree; measured rows form an
-    identity block.
+    Column k is the relaxed flow (``relaxed_flow_solution``) of zero loads
+    and a unit reading on sensor k alone: the signed indicator of the
+    fundamental cycle that sensor k's edge closes against the unmeasured
+    spanning tree.  Measured rows form an identity block, and ``B J = 0``.
     """
-    measured, free, X = _solve_unmeasured(graph, placement, lambda Bm: Bm)
-    J = np.zeros((graph.n_edges, len(measured)))
-    J[free, :] = -X
-    for k, eid in enumerate(measured):
-        J[eid, k] = 1.0
-    return J
+    unit = np.eye(len(placement.edge_ids))
+    return relaxed_flow_solution(graph, placement, np.zeros(len(graph.load_vertices)), unit).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,7 +630,7 @@ def feasible_tree(
 def _nonzero_pattern(readings: np.ndarray, floor: float = 1.0) -> np.ndarray:
     """The zero/nonzero pattern of each row of readings: nonzero above
     ``1e-9 * max(floor, max |s|)``.  ``feasible_tree`` reads it with floor 1,
-    ``_support_mask`` with a higher floor."""
+    ``_sensor_support`` with a higher floor."""
     size = np.abs(readings)
     return size > 1e-9 * np.maximum(floor, size.max(axis=-1, initial=0.0, keepdims=True))
 
@@ -666,15 +652,12 @@ def detect_cycle_descent(
     Exchanges never remove a ``required_edges`` member, so a search seeded
     inside the admissible configuration set stays inside it.  The
     accepted-move likelihood sequence is nondecreasing by construction.
-    Exchanges never remove a sensor-support edge either, which changes
-    nothing; see ``_sensor_support`` for why.  No tree is enumerated: the
-    walk is ``_descent_walk`` on a one-row HypothesisBank, as in the sweep.
+    No tree is enumerated: the walk is ``_descent_walk`` on a one-row
+    HypothesisBank, on the sweep's neighbour rows.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    required = frozenset(required_edges)
-    fixed = required | _sensor_support(placement, model, observation)
-    bank = HypothesisBank(cache, fixed, readings=observation[None])
-    start = bank.number(feasible_tree(graph, observation, placement, required_edges=required))
+    bank = HypothesisBank(cache, required_edges, readings=observation[None])
+    start = bank.number(feasible_tree(graph, observation, placement, required_edges=bank.required))
     tree, ll, sweeps, converged = _descent_walk(bank, [start])
     return DetectionResult(
         tree=bank.trees[tree[0]],
@@ -706,9 +689,15 @@ def local_map_search(
     the seed and candidates lacking a sensor-support edge are not scored,
     since they would score -inf (see ``_sensor_support``).  The search is
     ``_local_walk`` on a one-row HypothesisBank, as in the sweep.
+    UnknownEdgeError for a required id that is not an edge, and
+    InfeasibleConstraintError unless the seed holds every required edge.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     bank = HypothesisBank(cache, required_edges, readings=observation[None])
+    for eid in bank.required:
+        graph.check_edge(eid)
+    if not bank.required <= seed_tree.edge_ids:
+        raise InfeasibleConstraintError("the seed tree lacks a required edge")
     tree, ll, size = _local_walk(bank, [bank.number(seed_tree)])
     return DetectionResult(
         tree=bank.trees[tree[0]],
@@ -744,13 +733,11 @@ class HypothesisBank:
     stands for no tree, scores -inf and has no neighbours, so a walk from -1
     stays at -1.
 
-    A tree's score column is filled on first use: the trees a fill needs
-    are scored as one stack of private-load laws on the whole block
-    (``_score``).  A tree lacking a sensor-support edge of every loaded row
-    (``_support_mask``) scores -inf on every row unbuilt, and one lacking a
-    support edge of some rows scores -inf on those; ``_sensor_support``
-    shows why.  Memory per loaded block is one float per (row, numbered
-    tree), NaN until scored, and a spare last entry that number -1 reads.
+    A tree's score column is filled on first use, as one ``_score`` stack
+    on the whole block; a tree lacking an edge of the block's
+    ``_sensor_support`` scores -inf on every row unbuilt.  Memory per loaded
+    block is one float per (row, numbered tree), NaN until scored, and a
+    spare last entry that number -1 reads.
     """
 
     def __init__(
@@ -801,8 +788,7 @@ class HypothesisBank:
     def load(self, readings: np.ndarray) -> None:
         """Make ``readings`` (one row per observation) the block that is scored."""
         self.readings = np.asarray(readings, dtype=float)
-        every_row = _support_mask(self.cache.model, self.readings).all(axis=0)
-        self._needed = frozenset(compress(self.cache.placement.edge_ids, every_row))
+        self._needed = _sensor_support(self.cache.placement, self.cache.model, self.readings)
         self._scores = None  # the last block's scores go before this block's are made
         self._scores = np.full((self._capacity + 1, len(self.readings)), np.nan)
         self._scores[-1] = _NEG_INF

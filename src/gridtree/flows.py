@@ -63,11 +63,17 @@ class LoadModel:
             raise ModelError("load model nodes must match the graph's load vertices in order")
 
 
-def consumption_vector(graph: Graph, loads: Sequence[float]) -> np.ndarray:
-    """Net injection per vertex: total at the root, -load at load vertices; sums to zero."""
+def _loads(graph: Graph, loads: Sequence[float]) -> np.ndarray:
+    """``loads`` as a float array; ModelError unless one per load vertex."""
     x = np.asarray(loads, dtype=float)
     if x.shape != (len(graph.load_vertices),):
         raise ModelError("one load per load vertex required")
+    return x
+
+
+def consumption_vector(graph: Graph, loads: Sequence[float]) -> np.ndarray:
+    """Net injection per vertex: total at the root, -load at load vertices; sums to zero."""
+    x = _loads(graph, loads)
     y = np.zeros(graph.n_vertices)
     for v, xv in zip(graph.load_vertices, x):
         y[graph.vertex_index(v)] = -xv
@@ -131,15 +137,13 @@ def hypothesis_flow(
     graph: Graph, tree: SpanningTree, placement: Placement, loads: Sequence[float]
 ) -> np.ndarray:
     """Exact sensor readings for a hypothesized tree: downstream load sums, signed."""
-    x = np.asarray(loads, dtype=float)
+    x = _loads(graph, loads)
     return observation_matrix(graph, tree, placement) @ x
 
 
 def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) -> np.ndarray:
     """Signed flow on every edge of the graph under a tree (zero on co-tree edges)."""
-    x = np.asarray(loads, dtype=float)
-    if x.shape != (len(graph.load_vertices),):
-        raise ModelError("one load per load vertex required")
+    x = _loads(graph, loads)
     load_of = dict(zip(graph.load_vertices, x))
     parent, _, order = root_tree(graph, tree)
     subtree = {v: load_of.get(v, 0.0) for v in graph.vertices}
@@ -156,23 +160,6 @@ def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) ->
 # -- relaxed flow solution ----------------------------------------------------
 
 
-def _solve_unmeasured(graph: Graph, placement: Placement, rhs):
-    """Measured ids, unmeasured ("free") ids, and X solving
-    ``Br[:, free] X = rhs(Br[:, measured])`` for the reduced incidence Br.
-    InvalidPlacementError unless the free edges form a spanning tree.
-    """
-    measured = list(placement.edge_ids)
-    free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
-    if len(free) != graph.n_vertices - 1:
-        raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
-    Br = graph.reduced_incidence
-    b = rhs(Br[:, measured])
-    try:
-        return measured, free, np.linalg.solve(Br[:, free], b)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidPlacementError("unmeasured edges do not form a spanning tree") from exc
-
-
 def relaxed_flow_solution(
     graph: Graph,
     placement: Placement,
@@ -182,25 +169,34 @@ def relaxed_flow_solution(
     """Unique flow on the whole graph consistent with loads and sensor readings.
 
     Pins the measured edges to the observed values and solves the remaining
-    square (|V|-1) conservation system for the unmeasured edges.  The system
-    is invertible exactly when the placement is valid; its support encodes
-    the operating tree when the observation is consistent.
+    square (|V|-1) conservation system for the unmeasured edges, the one
+    solve of it in the package.  The system is invertible exactly when the
+    placement is valid; its support encodes the operating tree when the
+    observation is consistent.
 
     ``observation`` may also be a block, one row per observation, giving one
     flow row each.  Every row is solved as its own one-column system, so a
     row gets the same bits alone or in a block (a multi-column solve would
-    not).
+    not).  UnknownEdgeError for a sensor id that is not an edge, before
+    anything is solved; InvalidPlacementError unless the free edges form a
+    spanning tree.
     """
+    for eid in placement.edge_ids:
+        graph.check_edge(eid)
     s = np.asarray(observation, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != len(placement.edge_ids):
         raise InvalidPlacementError("one observation per sensor required")
     rows = s if s.ndim == 2 else s[None]
-
-    def rhs(Bm):  # per row: consumption at the non-root vertices, less the measured flows
-        y = np.delete(consumption_vector(graph, loads), graph.root_index)
-        return y[:, None] - Bm @ rows[:, :, None]
-
-    measured, free, f_free = _solve_unmeasured(graph, placement, rhs)
+    measured = list(placement.edge_ids)
+    free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
+    if len(free) != graph.n_vertices - 1:
+        raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
+    Br = graph.reduced_incidence
+    y = np.delete(consumption_vector(graph, loads), graph.root_index)
+    try:  # per row: the consumption, less the measured flows
+        f_free = np.linalg.solve(Br[:, free], y[:, None] - Br[:, measured] @ rows[:, :, None])
+    except np.linalg.LinAlgError as exc:
+        raise InvalidPlacementError("unmeasured edges do not form a spanning tree") from exc
     f = np.zeros((len(rows), graph.n_edges))
     f[:, free] = f_free[:, :, 0]
     f[:, measured] = rows

@@ -55,6 +55,14 @@ def _write_csv(report, path) -> None:
         fh.write(report.to_csv())
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """ModelError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer")
+    if value < least:
+        raise ModelError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One stochastic sweep: placements x sigma grid x hypothesis trees x trials."""
@@ -74,10 +82,8 @@ class ExperimentConfig:
     local_search: bool = False  # post-process each detector with the basis-neighborhood search
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ModelError("trials must be >= 1")
-        if self.seed < 0:
-            raise ModelError("seed must be >= 0")
+        _check_count(self.trials, "trials", 1)
+        _check_count(self.seed, "seed", 0)
         if not all(0 <= s < float("inf") for s in self.sigmas):
             raise ModelError("sigma values must be finite and >= 0")
         if self.sigma_mode not in ("absolute", "cv", "model"):
@@ -291,8 +297,7 @@ def run_stochastic_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorRep
     spreads the groups over processes (see the module docstring).  Output row
     order and contents are independent of the worker count.
     """
-    if workers < 1:
-        raise ModelError("workers must be >= 1")
+    _check_count(workers, "workers", 1)
     trees = list(enumerate_spanning_trees(config.graph, config.restriction))
     groups = [(p, s) for p in range(len(config.placements)) for s in range(len(config.sigmas))]
     # Fewer groups than workers: split each group's true trees into contiguous

@@ -7,12 +7,14 @@ import pytest
 from gridtree import (
     GridTreeError,
     InconsistentObservationError,
+    InfeasibleConstraintError,
     InvalidPlacementError,
     LoadModel,
     ModelError,
     NoFeasibleHypothesisError,
     Placement,
     SpanningTree,
+    UnknownEdgeError,
     UnsupportedPlacementError,
     detect_cycle_descent,
     detect_deterministic,
@@ -929,6 +931,20 @@ class TestLocalSearch:
             seed_misses += f.tree.edge_ids != true.edge_ids
             refined_misses += r.tree.edge_ids != true.edge_ids
         assert refined_misses <= seed_misses
+
+    def test_required_edges_checked(self, island, tau_trees):
+        # each of these used to return a tree; the last one outside the restriction, at -inf
+        g, pl = island.graph, Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        s = hypothesis_flow(g, tau_trees[0], pl, model.means)
+        for bad in ({99}, {0.0}, {-1}):
+            with pytest.raises(UnknownEdgeError):
+                local_map_search(g, pl, model, s, tau_trees[0], required_edges=bad)
+        with pytest.raises(InfeasibleConstraintError):
+            local_map_search(g, pl, model, s, tau_trees[0], required_edges=range(g.n_edges))
+        outside = next(t for t in enumerate_spanning_trees(g) if not island.tau <= t.edge_ids)
+        with pytest.raises(InfeasibleConstraintError):
+            local_map_search(g, pl, model, s, outside, required_edges=island.tau)
 
 
 class TestBankMemory:

@@ -22,6 +22,7 @@ from gridtree import (
     observation_matrix_from_incidence,
     relaxed_flow_solution,
     tree_edge_flows,
+    zero_flow_transform,
 )
 from gridtree import NotASpanningTreeError, UnknownEdgeError, is_spanning_tree
 from gridtree import max_weight_spanning_tree, tree_to_placement
@@ -173,6 +174,15 @@ class TestRelaxedFlow:
             relaxed_flow_solution(example_graph, Placement((0, 1)), UNIT_LOADS, [1.0, 1.0])
         with pytest.raises(InvalidPlacementError):
             relaxed_flow_solution(example_graph, Placement((4,)), UNIT_LOADS, [1.0])
+
+    @pytest.mark.parametrize("bad", [12.0, 99, -1])
+    def test_sensor_ids_outside_the_graph(self, island, bad):
+        # used to raise a bare IndexError (12.0) or InvalidPlacementError
+        pl = Placement((6, 7, 10, bad))
+        with pytest.raises(UnknownEdgeError):
+            relaxed_flow_solution(island.graph, pl, island.load_model.means, np.zeros(4))
+        with pytest.raises(UnknownEdgeError):
+            zero_flow_transform(island.graph, pl)
 
     def test_residual_tiny_for_consistent_inputs(self, example_graph):
         f = relaxed_flow_solution(example_graph, Placement((4, 5)), UNIT_LOADS, [0.5, 0.5])
@@ -343,6 +353,8 @@ class TestTreeInputsChecked:
         for loads in (np.ones(4), np.ones(6)):
             with pytest.raises(ModelError, match="one load per load vertex required"):
                 tree_edge_flows(island.graph, tree, loads)
+            with pytest.raises(ModelError, match="one load per load vertex required"):
+                hypothesis_flow(island.graph, tree, Placement((11,)), loads)
 
     def test_edge_ids_outside_the_graph(self, island):
         g = island.graph

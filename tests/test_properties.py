@@ -36,6 +36,7 @@ from gridtree import (
     run_stochastic_sweep,
     tree_edge_flows,
     tree_to_placement,
+    zero_flow_transform,
 )
 from gridtree.detect import HypothesisBank, HypothesisCache, ReducedGaussian, _score, _sensor_support
 from conftest import lattice_graph, random_connected_graph, random_forest, with_edges_dropped
@@ -159,6 +160,20 @@ def test_relaxed_flow_from_exact_readings_conserves(seed):
     f = relaxed_flow_solution(graph, placement, loads, hypothesis_flow(graph, true, placement, loads))
     assert flow_residual(graph, f, loads) < 1e-9
     assert np.allclose(f, tree_edge_flows(graph, true, loads), rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_zero_flow_transform_solves_its_defining_equations(seed):
+    # J is the relaxed flow of zero loads and unit readings: it conserves
+    # flow at every vertex and reads each sensor's unit on its own edge
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(rng)
+    cotree = tree_to_placement(graph, max_weight_spanning_tree(graph, rng.random(graph.n_edges)))
+    placement = Placement(rng.permutation(cotree.edge_ids).tolist())
+    J = zero_flow_transform(graph, placement)
+    assert np.array_equal(J[list(placement.edge_ids)], np.eye(len(placement.edge_ids)))
+    assert not np.any(graph.incidence @ J)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -150,9 +150,7 @@ class TestPruningChangesNoResult:
         pruned = [self._run_all(graph, *case) for case in cases]
         assert all(_sensor_support(pl, model, s) for pl, model, s, _ in cases)
         # no reading is a support reading: nothing is pruned anywhere
-        monkeypatch.setattr(
-            gridtree.detect, "_support_mask", lambda model, s: np.zeros(np.shape(s), dtype=bool)
-        )
+        monkeypatch.setattr(gridtree.detect, "_sensor_support", lambda placement, model, s: frozenset())
         unpruned = [self._run_all(graph, *case) for case in cases]
         assert pruned == unpruned
 

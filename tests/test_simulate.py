@@ -229,7 +229,7 @@ class TestStochasticSweep:
             trials=1,
             restriction=island.tau,
         )
-        for workers in (0, -4):
+        for workers in (0, -4, 1.5):  # 1.5 used to raise a bare TypeError
             with pytest.raises(ModelError, match="workers"):
                 run_stochastic_sweep(config, workers=workers)
         one = type(tau_family)(placements=tau_family.placements[:1], forbidden=tau_family.forbidden)
@@ -268,8 +268,14 @@ class TestStochasticSweep:
             ({"sigmas": (0.1, -0.1)}, "sigma values"),
             ({"sigmas": (float("nan"),)}, "sigma values"),
             ({"sigma_mode": "relative"}, "unknown sigma mode"),
+            ({"trials": 2.5}, "trials must be an integer"),
+            ({"trials": True}, "trials must be an integer"),
+            ({"seed": 0.5}, "seed must be an integer"),
         ],
-        ids=["no_trials", "negative_sigma", "nan_sigma", "unknown_mode"],
+        ids=[
+            "no_trials", "negative_sigma", "nan_sigma", "unknown_mode",
+            "fractional_trials", "bool_trials", "fractional_seed",
+        ],
     )
     def test_invalid_config_rejected(self, island, tau_family, field, match):
         args = dict(
