@@ -53,7 +53,6 @@ from .flows import (
     LoadModel,
     consumption_vector,
     cv_scaling,
-    flow_residual,
     hypothesis_flow,
     hypothesis_flow_distribution,
     observation_matrix,

@@ -75,7 +75,7 @@ from .graph import (
     root_tree,
 )
 from .cycles import fundamental_cycle_basis
-from .placement import Placement
+from .placement import Placement, _finite
 
 _NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -248,8 +248,7 @@ class HypothesisCache:
 
     def __init__(self, graph: Graph, placement: Placement, model: LoadModel):
         model.check_graph(graph)
-        for eid in placement.edge_ids:
-            graph.check_edge(eid)
+        graph.check_edges(placement.edge_ids)
         self.graph = graph
         self.placement = placement
         self.model = model
@@ -295,14 +294,6 @@ class HypothesisCache:
         if key not in self._bases:
             self._bases[key] = fundamental_cycle_basis(self.graph, tree)
         return self._bases[key]
-
-
-def _finite(values: Sequence[float], what: str) -> np.ndarray:
-    """``values`` as a float array; ModelError if any entry is NaN or infinite."""
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ModelError(f"{what} must be finite")
-    return v
 
 
 def _observation(values: Sequence[float], placement: Placement) -> np.ndarray:
@@ -382,9 +373,7 @@ def detect_deterministic(
     f = relaxed_flow_solution(graph, placement, x, _observation(observation, placement))
     tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)))
     support = {e for e in range(graph.n_edges) if abs(f[e]) > tol}
-    for eid in required_edges:
-        graph.check_edge(eid)
-        support.add(eid)
+    support.update(graph.check_edges(required_edges))
     if not is_spanning_tree(graph, support):
         raise InconsistentObservationError(
             f"flow support of size {len(support)} is not a spanning tree; "
@@ -515,9 +504,20 @@ def zero_flow_statistic(
     tree: SpanningTree,
     J: np.ndarray,  # zero_flow_transform(graph, placement)
 ) -> ZeroFlowStatistic:
+    """The zero-flow statistic of ``tree``.  Raises as ``hypothesis_flow_distribution``
+    does, and InvalidPlacementError unless ``J`` has shape (|E|, |M|), ``J[measured]``
+    is the identity and ``incidence @ J`` is zero, within 1e-9: for a valid
+    placement, exactly when ``J`` is its ``zero_flow_transform``."""
+    _, cov = hypothesis_flow_distribution(graph, tree, placement, model)
+    J = np.asarray(J, dtype=float)
+    m = len(placement.edge_ids)
+    if J.shape != (graph.n_edges, m) or not (
+        np.all(np.abs(J[list(placement.edge_ids)] - np.eye(m)) <= 1e-9)
+        and np.all(np.abs(graph.incidence @ J) <= 1e-9)
+    ):
+        raise InvalidPlacementError("J is not the zero-flow transform of this placement")
     indices = tree.cotree(graph)
     H = J[list(indices), :]
-    _, cov = hypothesis_flow_distribution(graph, tree, placement, model)
     return ZeroFlowStatistic(indices=indices, covariance=H @ cov @ H.T, transform=H)
 
 
@@ -607,8 +607,7 @@ def feasible_tree(
     required = frozenset(required_edges)
     weights = np.ones(graph.n_edges)
     nonzero, zero = [], []
-    for k, eid in enumerate(placement.edge_ids):
-        graph.check_edge(eid)
+    for k, eid in enumerate(graph.check_edges(placement.edge_ids)):
         if pattern[k]:
             weights[eid] = float(graph.n_edges)
             nonzero.append(eid)
@@ -693,9 +692,7 @@ def local_map_search(
     InfeasibleConstraintError unless the seed holds every required edge.
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    bank = HypothesisBank(cache, required_edges, readings=observation[None])
-    for eid in bank.required:
-        graph.check_edge(eid)
+    bank = HypothesisBank(cache, graph.check_edges(required_edges), readings=observation[None])
     if not bank.required <= seed_tree.edge_ids:
         raise InfeasibleConstraintError("the seed tree lacks a required edge")
     tree, ll, size = _local_walk(bank, [bank.number(seed_tree)])

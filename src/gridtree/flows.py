@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidPlacementError, ModelError
 from .graph import Graph, SpanningTree, root_tree
-from .placement import Placement
+from .placement import Placement, _finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,12 +32,10 @@ class LoadModel:
     variances: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
+        object.__setattr__(self, "means", _finite(self.means, "means/variances"))
+        object.__setattr__(self, "variances", _finite(self.variances, "means/variances"))
         if self.means.shape != (len(self.nodes),) or self.variances.shape != (len(self.nodes),):
             raise ModelError("means/variances must have one entry per node")
-        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
-            raise ModelError("means/variances must be finite")
         if np.any(self.variances < 0):
             raise ModelError("negative variance")
 
@@ -64,15 +62,16 @@ class LoadModel:
 
 
 def _loads(graph: Graph, loads: Sequence[float]) -> np.ndarray:
-    """``loads`` as a float array; ModelError unless one per load vertex."""
-    x = np.asarray(loads, dtype=float)
+    """``loads`` as a float array; ModelError unless finite, one per load vertex."""
+    x = _finite(loads, "loads")
     if x.shape != (len(graph.load_vertices),):
         raise ModelError("one load per load vertex required")
     return x
 
 
 def consumption_vector(graph: Graph, loads: Sequence[float]) -> np.ndarray:
-    """Net injection per vertex: total at the root, -load at load vertices; sums to zero."""
+    """Net injection per vertex: total at the root, -load at load vertices; sums to zero.
+    ModelError unless the loads are finite, one per load vertex."""
     x = _loads(graph, loads)
     y = np.zeros(graph.n_vertices)
     for v, xv in zip(graph.load_vertices, x):
@@ -92,8 +91,7 @@ def observation_matrix(graph: Graph, tree: SpanningTree, placement: Placement) -
     toward the root, 0 otherwise.  Sensors on unused (co-tree) edges give
     all-zero rows.
     """
-    for eid in placement.edge_ids:
-        graph.check_edge(eid)
+    graph.check_edges(placement.edge_ids)
     parent, _, _ = root_tree(graph, tree)
     row_of = {eid: k for k, eid in enumerate(placement.edge_ids)}
     gamma = np.zeros((len(placement.edge_ids), len(graph.load_vertices)))
@@ -118,8 +116,7 @@ def observation_matrix_from_incidence(
     cross-checking the traversal construction.  UnknownEdgeError for a
     sensor id that is not an edge, as ``observation_matrix`` raises.
     """
-    for eid in placement.edge_ids:
-        graph.check_edge(eid)
+    graph.check_edges(placement.edge_ids)
     tree_cols = sorted(tree.edge_ids)
     Bw = graph.reduced_incidence[:, tree_cols]
     inv = np.linalg.inv(Bw)
@@ -136,13 +133,17 @@ def observation_matrix_from_incidence(
 def hypothesis_flow(
     graph: Graph, tree: SpanningTree, placement: Placement, loads: Sequence[float]
 ) -> np.ndarray:
-    """Exact sensor readings for a hypothesized tree: downstream load sums, signed."""
+    """Exact sensor readings for a hypothesized tree: downstream load sums, signed.
+    ModelError unless the loads are finite, one per load vertex; UnknownEdgeError
+    or NotASpanningTreeError for a sensor or tree that does not fit the graph."""
     x = _loads(graph, loads)
     return observation_matrix(graph, tree, placement) @ x
 
 
 def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) -> np.ndarray:
-    """Signed flow on every edge of the graph under a tree (zero on co-tree edges)."""
+    """Signed flow on every edge of the graph under a tree (zero on co-tree edges).
+    ModelError unless the loads are finite, one per load vertex; UnknownEdgeError
+    or NotASpanningTreeError for a tree that does not fit the graph."""
     x = _loads(graph, loads)
     load_of = dict(zip(graph.load_vertices, x))
     parent, _, order = root_tree(graph, tree)
@@ -177,13 +178,13 @@ def relaxed_flow_solution(
     ``observation`` may also be a block, one row per observation, giving one
     flow row each.  Every row is solved as its own one-column system, so a
     row gets the same bits alone or in a block (a multi-column solve would
-    not).  UnknownEdgeError for a sensor id that is not an edge, before
-    anything is solved; InvalidPlacementError unless the free edges form a
-    spanning tree.
+    not).  UnknownEdgeError for a sensor id that is not an edge; ModelError
+    unless the readings and the loads are finite, one load per load vertex;
+    InvalidPlacementError unless there is one reading per sensor and the
+    free edges form a spanning tree.
     """
-    for eid in placement.edge_ids:
-        graph.check_edge(eid)
-    s = np.asarray(observation, dtype=float)
+    graph.check_edges(placement.edge_ids)
+    s = _finite(observation, "observation")
     if s.ndim not in (1, 2) or s.shape[-1] != len(placement.edge_ids):
         raise InvalidPlacementError("one observation per sensor required")
     rows = s if s.ndim == 2 else s[None]
@@ -201,12 +202,6 @@ def relaxed_flow_solution(
     f[:, free] = f_free[:, :, 0]
     f[:, measured] = rows
     return f if s.ndim == 2 else f[0]
-
-
-def flow_residual(graph: Graph, flows: Sequence[float], loads: Sequence[float]) -> float:
-    """Max abs violation of conservation ``B f = y`` over all vertices."""
-    y = consumption_vector(graph, loads)
-    return float(np.max(np.abs(graph.incidence @ np.asarray(flows, dtype=float) - y)))
 
 
 # -- hypothesis flow distribution ---------------------------------------------

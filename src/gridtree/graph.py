@@ -143,6 +143,13 @@ class Graph:
         if not isinstance(eid, (int, np.integer)) or not 0 <= eid < len(self.edges):
             raise UnknownEdgeError(f"unknown edge id {eid!r}")
 
+    def check_edges(self, eids: Iterable[int]) -> tuple[int, ...]:
+        """``eids``, read once, as a tuple; UnknownEdgeError as ``check_edge`` raises."""
+        ids = tuple(eids)
+        for eid in ids:
+            self.check_edge(eid)
+        return ids
+
     def root_edges(self) -> frozenset[int]:
         """Edges incident to the root (the mandatory subtree in feeder graphs)."""
         return frozenset(eid for eid, ends in enumerate(self.edges) if self.root in ends)
@@ -196,9 +203,7 @@ def circuit_rank(graph: Graph) -> int:
 
 def is_spanning_tree(graph: Graph, edge_ids: Iterable[int]) -> bool:
     """True iff the edge subset has |V|-1 edges, is acyclic and spans all vertices."""
-    ids = list(edge_ids)
-    for eid in ids:
-        graph.check_edge(eid)
+    ids = graph.check_edges(edge_ids)
     if len(set(ids)) != len(ids) or len(ids) != graph.n_vertices - 1:
         return False
     uf = UnionFind(graph.n_vertices)
@@ -252,9 +257,7 @@ def _required_forest(graph: Graph, required_edges: Iterable[int]) -> tuple[list[
     Raises UnknownEdgeError for an id that is not an edge and
     InfeasibleConstraintError if the edges contain a cycle.
     """
-    req = sorted(set(required_edges))
-    for eid in req:
-        graph.check_edge(eid)
+    req = sorted(set(graph.check_edges(required_edges)))
     uf = UnionFind(graph.n_vertices)
     for eid in req:
         u, v = graph.edges[eid]

@@ -26,6 +26,14 @@ from .graph import (
 )
 
 
+def _finite(values: Sequence[float], what: str) -> np.ndarray:
+    """``values`` as a float array; ModelError if any entry is NaN or infinite."""
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():  # not np.all(), which adds about 2.5 us on small arrays
+        raise ModelError(f"{what} must be finite")
+    return v
+
+
 @dataclass(frozen=True)
 class Placement:
     """Measured edges; position in the tuple is the sensor index."""
@@ -62,8 +70,7 @@ class PlacementFamily:
 
 def is_valid_placement(graph: Graph, placement: Placement) -> bool:
     """True iff the unmeasured edges form a spanning tree (O(|E|) union-find)."""
-    for eid in placement.edge_ids:
-        graph.check_edge(eid)
+    graph.check_edges(placement.edge_ids)
     rest = [e for e in range(graph.n_edges) if e not in placement.edge_set]
     return is_spanning_tree(graph, rest)
 
@@ -125,11 +132,8 @@ def naive_identifiability_oracle(
 def _readings(graph: Graph, placement: Placement, loads: Sequence[float], restriction=frozenset()) -> np.ndarray:
     """The sensor columns of ``_tree_flows``, trees x |M| exact readings,
     after the oracle's checks of the sensor ids and the loads."""
-    for eid in placement.edge_ids:
-        graph.check_edge(eid)
-    x = np.asarray(loads, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ModelError("loads must be finite")
+    graph.check_edges(placement.edge_ids)
+    x = _finite(loads, "loads")
     return _tree_flows(graph, x.tobytes(), x.shape, restriction)[:, list(placement.edge_ids)]
 
 

@@ -1,10 +1,12 @@
-"""Smoke test: each demo script runs to completion from a fresh interpreter.
+"""Each demo script runs to completion from a fresh interpreter.
 
 Demos 01-04 take well under a second each; 04 goes through every likelihood
-detector.  Demo 05, a Monte Carlo study of about 2-3 s, is the only one that
-runs the deterministic sweep, the placement ranking and ``sigma_mode="model"``.
-It writes ``sweep.csv`` and ``ranking.csv`` next to itself, so every demo runs
-from a copy in a temporary directory.
+detector.  Their stdout must equal ``tests/data/demo_<name>.txt``.  Demo 05,
+a Monte Carlo study of about 2-3 s, is the only one that runs the
+deterministic sweep, the placement ranking and ``sigma_mode="model"``; it
+prints absolute paths, so it is only run.  It writes ``sweep.csv`` and
+``ranking.csv`` next to itself, so every demo runs from a copy in a
+temporary directory.
 """
 
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 DEMOS = sorted((REPO / "demos").glob("0[1-5]_*.py"))
 
 
@@ -32,3 +35,5 @@ def test_demo_runs(script, tmp_path):
         [sys.executable, str(copy)], capture_output=True, text=True, env=env, timeout=120
     )
     assert res.returncode == 0, res.stderr
+    if script.name[:2] != "05":
+        assert res.stdout == (DATA / f"demo_{script.stem}.txt").read_text()

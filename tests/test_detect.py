@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -624,6 +625,30 @@ class TestZeroFlowMap:
             for tree in tau_trees:
                 stat = zero_flow_statistic(island.graph, pl, island.load_model, tree, J=J)
                 assert abs(abs(stat.transform_determinant()) - 1.0) < 1e-9
+
+    def test_transform_of_another_placement_rejected(self, island, tau_trees, tau_placements):
+        # placement 5's J passed with placement 0 used to give a statistic
+        # whose transform determinant read -1.0 instead of +1.0
+        g, model, tree = island.graph, island.load_model, tau_trees[0]
+        Js = [zero_flow_transform(g, pl) for pl in tau_placements]
+        refused = 0
+        for i, j in itertools.permutations(range(len(Js)), 2):
+            pl, J = tau_placements[i], Js[j]
+            if np.array_equal(J, Js[i]):
+                zero_flow_statistic(g, pl, model, tree, J=J)
+            else:
+                with pytest.raises(InvalidPlacementError, match="zero-flow transform"):
+                    zero_flow_statistic(g, pl, model, tree, J=J)
+                refused += 1
+        assert refused == 1820  # of 1,892 ordered pairs; the other 72 share one J
+
+    def test_transform_of_the_wrong_shape_rejected(self, island, tau_trees):
+        # each used to raise a bare IndexError or ValueError from numpy
+        pl = Placement((6, 7, 10, 12))
+        J = zero_flow_transform(island.graph, pl)
+        for wrong in (J[:-1], J[:, :3], J.T, np.vstack([J, J[:1]])):
+            with pytest.raises(InvalidPlacementError, match="zero-flow transform"):
+                zero_flow_statistic(island.graph, pl, island.load_model, tau_trees[0], J=wrong)
 
     def test_matches_map_on_random_scenarios(self, island, tau_trees):
         pl = Placement((6, 7, 10, 12))

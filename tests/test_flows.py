@@ -15,7 +15,6 @@ from gridtree import (
     cv_scaling,
     enumerate_spanning_trees,
     enumerate_valid_placements,
-    flow_residual,
     hypothesis_flow,
     hypothesis_flow_distribution,
     observation_matrix,
@@ -159,16 +158,6 @@ class TestRelaxedFlow:
         f = relaxed_flow_solution(example_graph, Placement((4, 5)), np.zeros(4), [0.0, 0.0])
         assert np.allclose(f, 0.0)
 
-    def test_residual_counts_every_vertex(self, example_graph):
-        f = relaxed_flow_solution(example_graph, Placement((4, 5)), UNIT_LOADS, [0.5, 0.5])
-        B = build_incidence(example_graph)
-        y = consumption_vector(example_graph, UNIT_LOADS)
-        # the first perturbation makes the root's row the largest violation
-        for g in ([0.25, 0.2, 0, 0, 0, 0], [0, 0.5, 0, 0.25, 0, 0], [0, 0, 0.1, 0, 0, 0.3]):
-            bad = f + np.array(g)
-            expected = float(np.max(np.abs(B @ bad - y)))
-            assert flow_residual(example_graph, bad, UNIT_LOADS) == expected
-
     def test_invalid_placement_raises(self, example_graph):
         with pytest.raises(InvalidPlacementError):
             relaxed_flow_solution(example_graph, Placement((0, 1)), UNIT_LOADS, [1.0, 1.0])
@@ -184,9 +173,23 @@ class TestRelaxedFlow:
         with pytest.raises(UnknownEdgeError):
             zero_flow_transform(island.graph, pl)
 
+    @pytest.mark.parametrize(
+        "loads, readings",
+        [
+            ([math.nan] * 5, np.zeros(4)),  # used to give NaN on 9 of the 13 edges
+            (np.ones(5), [0.0, math.inf, 0.0, 0.0]),
+            (np.ones(5), [np.zeros(4), [0.0, 0.0, math.nan, 0.0]]),  # a block's second row
+        ],
+        ids=["nan-loads", "inf-reading", "nan-in-block"],
+    )
+    def test_non_finite_rejected(self, island, loads, readings):
+        with pytest.raises(ModelError, match="must be finite"):
+            relaxed_flow_solution(island.graph, Placement((6, 7, 10, 12)), loads, readings)
+
     def test_residual_tiny_for_consistent_inputs(self, example_graph):
         f = relaxed_flow_solution(example_graph, Placement((4, 5)), UNIT_LOADS, [0.5, 0.5])
-        assert flow_residual(example_graph, f, UNIT_LOADS) < 1e-9
+        residual = example_graph.incidence @ f - consumption_vector(example_graph, UNIT_LOADS)
+        assert np.max(np.abs(residual)) < 1e-9
 
     def test_support_is_generating_tree(self, island):
         # feeding exact tree readings back reproduces flows supported on that
@@ -355,6 +358,21 @@ class TestTreeInputsChecked:
                 tree_edge_flows(island.graph, tree, loads)
             with pytest.raises(ModelError, match="one load per load vertex required"):
                 hypothesis_flow(island.graph, tree, Placement((11,)), loads)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, island, bad):
+        # each used to answer with NaN or infinite numbers
+        tree = next(enumerate_spanning_trees(island.graph, island.tau))
+        loads = np.ones(5)
+        loads[2] = bad
+        calls = [
+            lambda: consumption_vector(island.graph, loads),
+            lambda: tree_edge_flows(island.graph, tree, loads),
+            lambda: hypothesis_flow(island.graph, tree, Placement((6, 7, 10, 12)), loads),
+        ]
+        for call in calls:
+            with pytest.raises(ModelError, match="loads must be finite"):
+                call()
 
     def test_edge_ids_outside_the_graph(self, island):
         g = island.graph
