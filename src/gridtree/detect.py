@@ -67,6 +67,7 @@ from .flows import LoadModel, hypothesis_flow_distribution, relaxed_flow_solutio
 from .graph import (
     Graph,
     SpanningTree,
+    _finite,
     circuit_rank,
     count_spanning_trees,
     enumerate_spanning_trees,
@@ -75,7 +76,7 @@ from .graph import (
     root_tree,
 )
 from .cycles import fundamental_cycle_basis
-from .placement import Placement, _finite
+from .placement import Placement
 
 _NEG_INF = float("-inf")
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -397,13 +398,11 @@ def detect_enumeration_oracle(
     x = _finite(loads, "loads")
     s = _observation(observation, placement)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)), float(np.max(np.abs(s), initial=0.0)))
-    cols = list(placement.edge_ids)
-    hits = []
-    for tree in enumerate_spanning_trees(graph, restriction):
-        cand = tree_edge_flows(graph, tree, x)[cols] if cols else np.zeros(0)
-        if not cols or np.max(np.abs(cand - s)) <= tol:
-            hits.append(tree)
-    return tuple(hits)
+    cols = list(graph.check_edges(placement.edge_ids))
+    return tuple(
+        tree for tree in enumerate_spanning_trees(graph, restriction)
+        if np.max(np.abs(tree_edge_flows(graph, tree, x)[cols] - s), initial=0.0) <= tol
+    )
 
 
 # -- exact likelihood search ----------------------------------------------------
@@ -571,17 +570,15 @@ def detect_fmst(
     """
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
     [tree] = _fmst_trees(cache, observation[None], required_edges)
-    return DetectionResult(tree=tree, log_likelihood=cache.loglik(tree, observation), method="fmst")
+    ll = float(_score([cache.gaussian(tree)], observation[None])[0, 0])
+    return DetectionResult(tree=tree, log_likelihood=ll, method="fmst")
 
 
 def _fmst_trees(cache: HypothesisCache, readings: np.ndarray, required_edges: Iterable[int]) -> list:
     """``detect_fmst``'s tree for each row of ``readings``: one block relaxed
-    solve, then one greedy spanning tree per row.  Every error it raises (an
-    invalid placement, cyclic or unknown required edges, a disconnected
-    graph) holds for every row."""
+    solve, then one block call of ``max_weight_spanning_tree`` on |flow|."""
     flows = relaxed_flow_solution(cache.graph, cache.placement, cache.model.means, readings)
-    required = frozenset(required_edges)
-    return [max_weight_spanning_tree(cache.graph, f, required) for f in np.abs(flows)]
+    return max_weight_spanning_tree(cache.graph, np.abs(flows), required_edges)
 
 
 # -- cycle descent ----------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .errors import InvalidPlacementError, ModelError
-from .graph import Graph, SpanningTree, root_tree
-from .placement import Placement, _finite
+from .graph import Graph, SpanningTree, _finite, root_tree
+from .placement import Placement
 
 
 @dataclass(frozen=True, eq=False)

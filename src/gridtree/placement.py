@@ -16,22 +16,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPlacementError, ModelError
+from .errors import InvalidPlacementError
 from .graph import (
     Graph,
     SpanningTree,
+    _finite,
     circuit_rank,
     enumerate_spanning_trees,
     is_spanning_tree,
 )
-
-
-def _finite(values: Sequence[float], what: str) -> np.ndarray:
-    """``values`` as a float array; ModelError if any entry is NaN or infinite."""
-    v = np.asarray(values, dtype=float)
-    if not np.isfinite(v).all():  # not np.all(), which adds about 2.5 us on small arrays
-        raise ModelError(f"{what} must be finite")
-    return v
 
 
 @dataclass(frozen=True)
@@ -45,7 +38,7 @@ class Placement:
         if len(set(self.edge_ids)) != len(self.edge_ids):
             raise InvalidPlacementError("duplicate sensor edges")
 
-    @property
+    @functools.cached_property
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edge_ids)
 

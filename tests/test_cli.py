@@ -184,6 +184,21 @@ class TestDetect:
         assert out.read_text() == tree.label() + "\n"
         assert capsys.readouterr().out == tree.label() + "\n"
 
+    @pytest.mark.parametrize("method", ["deterministic", "enum"])
+    def test_unknown_sensor_id_exits_2(self, island, island_files, tmp_path, capsys, method):
+        # -1 would index from the end and read edge 12's flow, as if it were a sensor id
+        gpath, lpath = island_files
+        _, ppath, opath = self._exact_files(island, tmp_path)
+        ppath.write_text(ppath.read_text().replace("sensor 3 12", "sensor 3 -1"))
+        rc = main([
+            "detect", "--graph", str(gpath), "--loads", str(lpath),
+            "--placement", str(ppath), "--obs", str(opath),
+            "--method", method, "--require-tau",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "unknown edge id -1" in captured.err
+
     def test_enum_with_local_search_is_usage_error(self, island, island_files, tmp_path, capsys):
         gpath, lpath = island_files
         _, ppath, opath = self._exact_files(island, tmp_path)

@@ -544,6 +544,14 @@ class TestEnumerationOracle:
         with pytest.raises(GridTreeError, match=f"returned {found} trees"):
             DETECTORS["enum"](tri, Placement(edges), model, reading, (), None)
 
+    @pytest.mark.parametrize("bad", [-1, 13, 12.0])
+    def test_unknown_sensor_id_raises(self, island, bad):
+        # -1 would index from the end and read edge 12's flow; 13 and 12.0 are not edges
+        with pytest.raises(UnknownEdgeError):
+            detect_enumeration_oracle(
+                island.graph, Placement((6, 7, 10, bad)), island.load_model.means, np.ones(4), island.tau
+            )
+
     def test_wrong_load_count_raises(self, island):
         # four loads for five load vertices used to match no tree and return ()
         with pytest.raises(ModelError, match="one load per load vertex required"):

@@ -8,6 +8,7 @@ from gridtree import (
     GridTreeError,
     InfeasibleConstraintError,
     MalformedGraphError,
+    ModelError,
     SpanningTree,
     UnknownEdgeError,
     build_incidence,
@@ -18,7 +19,7 @@ from gridtree import (
     max_weight_spanning_tree,
 )
 from gridtree import NotASpanningTreeError
-from gridtree.graph import root_tree
+from gridtree.graph import UnionFind, root_tree
 from conftest import random_connected_graph, random_forest, with_edges_dropped
 
 EXAMPLE_INCIDENCE = np.array(
@@ -253,6 +254,66 @@ class TestMaxWeightSpanningTree:
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         with pytest.raises(MalformedGraphError):
             max_weight_spanning_tree(g, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_non_finite_weights_rejected(self, island, bad, rows):
+        # a NaN has no place in the order of the weights, and an argsort would place it silently
+        w = np.ones(13) if rows is None else np.ones((rows, 13))
+        w[..., 3] = bad
+        with pytest.raises(ModelError, match="weights must be finite"):
+            max_weight_spanning_tree(island.graph, w, island.tau)
+
+    def test_block_equals_rows_and_sorted_greedy(self, island):
+        rng = np.random.default_rng(22)
+        cases = [(island.graph, sorted(island.tau)), (island.graph, [])]
+        for _ in range(60):
+            g = random_connected_graph(rng)
+            cases.append((g, random_forest(rng, g)))
+        for g, required in cases:
+            n = g.n_edges
+            weights = np.array([
+                np.zeros(n),  # every weight tied
+                np.full(n, 2.5),
+                np.where(rng.random(n) < 0.5, -0.0, 0.0),  # -0.0 ties with 0.0
+                rng.integers(0, 3, n).astype(float),
+                -rng.integers(0, 3, n).astype(float),
+                rng.normal(size=n),
+            ])
+            block = [t.edge_ids for t in max_weight_spanning_tree(g, weights, required)]
+            rows = [max_weight_spanning_tree(g, w, required).edge_ids for w in weights]
+            assert block == rows == [_sorted_greedy(g, w, required) for w in weights]
+
+    def test_block_raises_as_a_row(self, small_corpus):
+        rng = np.random.default_rng(5)
+        disconnected = [Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])]
+        while len(disconnected) < 10:
+            g = with_edges_dropped(rng, random_connected_graph(rng))
+            if count_spanning_trees(g) == 0:
+                disconnected.append(g)
+        for g in disconnected:
+            for w in (np.ones(g.n_edges), np.ones((3, g.n_edges))):
+                with pytest.raises(MalformedGraphError):
+                    max_weight_spanning_tree(g, w, random_forest(rng, g))
+        for name, g in small_corpus:  # every edge: a cycle in each graph
+            for w in (np.ones(g.n_edges), np.ones((3, g.n_edges))):
+                with pytest.raises(InfeasibleConstraintError):
+                    max_weight_spanning_tree(g, w, range(g.n_edges))
+
+
+def _sorted_greedy(graph, weights, required):
+    """Reference greedy pass: the required edges, then every edge in
+    ``sorted`` order of (-weight, edge id), one Python comparison at a time."""
+    ends = [(graph.vertex_index(u), graph.vertex_index(v)) for u, v in graph.edges]
+    uf = UnionFind(graph.n_vertices)
+    picked = sorted(set(required))
+    for eid in picked:
+        assert uf.union(*ends[eid])
+    for eid in sorted(range(graph.n_edges), key=lambda e: (-float(weights[e]), e)):
+        if uf.union(*ends[eid]):
+            picked.append(eid)
+    assert len(picked) == graph.n_vertices - 1
+    return frozenset(picked)
 
 
 def test_spanning_tree_helpers(island):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gridtree.detect
+import gridtree.graph
 from gridtree import (
     ErrorReport,
     ExperimentConfig,
@@ -164,6 +165,39 @@ class TestStochasticSweep:
         report = run_stochastic_sweep(config)
         assert len(report.rows) == 2 * 2 * 44 * 3
         assert 0 < len(builds) <= 2 * 2 * 44
+
+    @pytest.mark.parametrize("local_search", [False, True])
+    def test_one_required_forest_per_fmst_block(self, island, tau_family, monkeypatch, local_search):
+        calls = {"forest": 0, "block": 0}
+        forest, load = gridtree.graph._required_forest, gridtree.detect.HypothesisBank.load
+
+        def counting_forest(*args):
+            calls["forest"] += 1
+            return forest(*args)
+
+        def counting_load(self, readings):
+            calls["block"] += len(readings) > 0  # a bank starts with an empty block
+            load(self, readings)
+
+        monkeypatch.setattr(gridtree.graph, "_required_forest", counting_forest)
+        monkeypatch.setattr(gridtree.detect.HypothesisBank, "load", counting_load)
+        config = ExperimentConfig(
+            graph=island.graph,
+            load_model=island.load_model,
+            placements=tau_family.placements[:2],
+            sigmas=(0.1, 0.4),
+            trials=30,
+            detectors=("fmst",),
+            seed=4,
+            restriction=island.tau,
+            local_search=local_search,
+        )
+        report = run_stochastic_sweep(config)
+        assert len(report.rows) == 2 * 2 * 44
+        # 2 x 2 groups of 44 x 30 rows, loaded 33 cells at a time
+        assert calls["block"] == 2 * 2 * 2
+        # one forest for the sweep's enumeration of the hypotheses, then one per block
+        assert calls["forest"] == 1 + calls["block"]
 
     def test_doubling_trials_shrinks_stderr(self, island, tau_family):
         def stderr_at(trials):
