@@ -1,5 +1,8 @@
 """Command-line front end.
 
+One parser serves every ``main`` call in a process: it is built on the
+first call, not at import, and parsing leaves it unchanged.
+
 Exit status: 0 on success, 1 on usage problems (bad or conflicting flags,
 unknown detector names, missing or unparseable input files), 2 on
 model/validity errors (invalid placement, inconsistent observation, ...).
@@ -8,6 +11,7 @@ model/validity errors (invalid placement, inconsistent observation, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -296,10 +300,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """``build_parser()``, built on the first ``main`` call and reused: parsing
+    leaves the parser as it was, and building it costs more than most calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

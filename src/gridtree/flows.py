@@ -72,7 +72,11 @@ def _loads(graph: Graph, loads: Sequence[float]) -> np.ndarray:
 def consumption_vector(graph: Graph, loads: Sequence[float]) -> np.ndarray:
     """Net injection per vertex: total at the root, -load at load vertices; sums to zero.
     ModelError unless the loads are finite, one per load vertex."""
-    x = _loads(graph, loads)
+    return _consumption(graph, _loads(graph, loads))
+
+
+def _consumption(graph: Graph, x: np.ndarray) -> np.ndarray:
+    """``consumption_vector`` of loads already checked by ``_loads``."""
     y = np.zeros(graph.n_vertices)
     for v, xv in zip(graph.load_vertices, x):
         y[graph.vertex_index(v)] = -xv
@@ -144,7 +148,11 @@ def tree_edge_flows(graph: Graph, tree: SpanningTree, loads: Sequence[float]) ->
     """Signed flow on every edge of the graph under a tree (zero on co-tree edges).
     ModelError unless the loads are finite, one per load vertex; UnknownEdgeError
     or NotASpanningTreeError for a tree that does not fit the graph."""
-    x = _loads(graph, loads)
+    return _edge_flows(graph, tree, _loads(graph, loads))
+
+
+def _edge_flows(graph: Graph, tree: SpanningTree, x: np.ndarray) -> np.ndarray:
+    """``tree_edge_flows`` of loads already checked by ``_loads``."""
     load_of = dict(zip(graph.load_vertices, x))
     parent, _, order = root_tree(graph, tree)
     subtree = {v: load_of.get(v, 0.0) for v in graph.vertices}
@@ -187,13 +195,22 @@ def relaxed_flow_solution(
     s = _finite(observation, "observation")
     if s.ndim not in (1, 2) or s.shape[-1] != len(placement.edge_ids):
         raise InvalidPlacementError("one observation per sensor required")
-    rows = s if s.ndim == 2 else s[None]
+    f = _relaxed_flow(graph, placement, _loads(graph, loads), np.atleast_2d(s))
+    return f if s.ndim == 2 else f[0]
+
+
+def _relaxed_flow(graph: Graph, placement: Placement, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``relaxed_flow_solution`` of a block ``rows``, one flow row each, on
+    inputs already checked: sensor ids that are edges, loads ``x`` as
+    ``_loads`` checks them (a LoadModel's means fit its cache's graph) and
+    finite readings, one per sensor.  Only the placement's validity is
+    checked here."""
     measured = list(placement.edge_ids)
     free = [e for e in range(graph.n_edges) if e not in placement.edge_set]
     if len(free) != graph.n_vertices - 1:
         raise InvalidPlacementError("placement does not leave |V|-1 unmeasured edges")
     Br = graph.reduced_incidence
-    y = np.delete(consumption_vector(graph, loads), graph.root_index)
+    y = np.delete(_consumption(graph, x), graph.root_index)
     try:  # per row: the consumption, less the measured flows
         f_free = np.linalg.solve(Br[:, free], y[:, None] - Br[:, measured] @ rows[:, :, None])
     except np.linalg.LinAlgError as exc:
@@ -201,7 +218,7 @@ def relaxed_flow_solution(
     f = np.zeros((len(rows), graph.n_edges))
     f[:, free] = f_free[:, :, 0]
     f[:, measured] = rows
-    return f if s.ndim == 2 else f[0]
+    return f
 
 
 # -- hypothesis flow distribution ---------------------------------------------

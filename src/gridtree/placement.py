@@ -20,7 +20,6 @@ from .errors import InvalidPlacementError
 from .graph import (
     Graph,
     SpanningTree,
-    _finite,
     circuit_rank,
     enumerate_spanning_trees,
     is_spanning_tree,
@@ -124,9 +123,9 @@ def naive_identifiability_oracle(
 
 def _readings(graph: Graph, placement: Placement, loads: Sequence[float], restriction=frozenset()) -> np.ndarray:
     """The sensor columns of ``_tree_flows``, trees x |M| exact readings,
-    after the oracle's checks of the sensor ids and the loads."""
+    after the oracle's check of the sensor ids."""
     graph.check_edges(placement.edge_ids)
-    x = _finite(loads, "loads")
+    x = np.asarray(loads, dtype=float)
     return _tree_flows(graph, x.tobytes(), x.shape, restriction)[:, list(placement.edge_ids)]
 
 
@@ -145,12 +144,13 @@ def _tree_flows(graph: Graph, loads: bytes, shape: tuple, restriction: frozenset
     tree containing ``restriction``, as a trees x |E| array.  The oracle and
     the deterministic sweep are asked about many placements of one (graph,
     loads) pair, and the flows do not depend on the placement, so the last
-    pair's table is kept."""
-    from .flows import tree_edge_flows
+    pair's table is kept.  ModelError unless the loads are finite, one per
+    load vertex: checked once per table, and a failed check keeps nothing."""
+    from .flows import _edge_flows, _loads
 
-    x = np.frombuffer(loads).reshape(shape)
+    x = _loads(graph, np.frombuffer(loads).reshape(shape))
     trees = enumerate_spanning_trees(graph, restriction)
-    flows = np.array([tree_edge_flows(graph, t, x) for t in trees]).reshape(-1, graph.n_edges)
+    flows = np.array([_edge_flows(graph, t, x) for t in trees]).reshape(-1, graph.n_edges)
     flows.setflags(write=False)
     return flows
 

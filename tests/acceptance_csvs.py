@@ -1,7 +1,10 @@
 """Write the CSVs of the eight acceptance producers, and island ``sweep``
 CSVs of every registry detector, to a directory.
 
-Usage: ``PYTHONPATH=src python tests/acceptance_csvs.py OUTDIR``
+Usage: ``PYTHONPATH=src python tests/acceptance_csvs.py OUTDIR [NAME ...]``
+
+With NAMEs (file names, such as ``sweep_fmst_40.csv``), only those files
+are written; without, all 33.
 
 The producers are the ``_produce_*`` functions of ``test_acceptance.py``,
 run with the same seeds as the acceptance tests.  The sweeps run the CLI
@@ -53,24 +56,31 @@ from conftest import lattice_graph
 from test_prune import _snapshot
 
 
-def _sweeps(out: Path) -> None:
+#: file name -> (detector, --local-search, trials per cell) of each sweep capture
+SWEEPS = {
+    f"sweep_{name}{'_local' if local else ''}_{trials}.csv": (name, local, trials)
+    for name in DETECTOR_NAMES
+    for local in (False, True)
+    for trials in (3, 40)
+}
+
+
+def _sweeps(out: Path, names) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         graph, loads, placement = (Path(tmp) / name for name in ("island.graph", "island.loads", "p.place"))
         cli_main(["fixture", "--out", str(graph), "--loads", str(loads)])
         placement.write_text(format_placement(Placement((6, 7, 10, 12))))
-        for name in DETECTOR_NAMES:
-            for local in (False, True):
-                for trials in (3, 40):
-                    path = out / f"sweep_{name}{'_local' if local else ''}_{trials}.csv"
-                    rc = cli_main([
-                        "sweep", "--graph", str(graph), "--loads", str(loads),
-                        "--placement", str(placement), "--sigma-grid", "0.05,0.2,0.5",
-                        "--trials", str(trials), "--seed", "7", "--method", name,
-                        "--require-tau", "--out", str(path), *(["--local-search"] if local else []),
-                    ])
-                    if rc != 0:
-                        raise SystemExit(f"sweep for {path.name} exited {rc}")
-                    print(f"wrote {path}")
+        for file in names:
+            name, local, trials = SWEEPS[file]
+            rc = cli_main([
+                "sweep", "--graph", str(graph), "--loads", str(loads),
+                "--placement", str(placement), "--sigma-grid", "0.05,0.2,0.5",
+                "--trials", str(trials), "--seed", "7", "--method", name,
+                "--require-tau", "--out", str(out / file), *(["--local-search"] if local else []),
+            ])
+            if rc != 0:
+                raise SystemExit(f"sweep for {file} exited {rc}")
+            print(f"wrote {out / file}")
 
 
 def _calls(graph, pl, model, s, restriction, required) -> list[str]:
@@ -126,30 +136,33 @@ def _detect_calls(island, trees) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: acceptance_csvs.py OUTDIR", file=sys.stderr)
-        return 2
-    out = Path(argv[0])
-    out.mkdir(parents=True, exist_ok=True)
     island = build_island_fixture()
     trees = list(enumerate_spanning_trees(island.graph, island.tau))
     family = enumerate_valid_placements(island.graph, island.tau)
     producers = {
-        "crit4": lambda: acc._produce_crit4(island, trees, family),
-        "crit5": lambda: acc._produce_crit5(island, trees),
-        "crit6": lambda: acc._produce_crit6(island, family),
-        "crit7_map": lambda: acc._produce_crit7_map(island),
-        "crit7_agree": lambda: acc._produce_crit7_agree(island, trees),
-        "crit7_cmp": lambda: acc._produce_crit7_cmp(island),
-        "crit7_local": lambda: acc._produce_crit7_local(island),
-        "crit8": lambda: acc._produce_crit8(island, family),
+        "crit4.csv": lambda: acc._produce_crit4(island, trees, family),
+        "crit5.csv": lambda: acc._produce_crit5(island, trees),
+        "crit6.csv": lambda: acc._produce_crit6(island, family),
+        "crit7_map.csv": lambda: acc._produce_crit7_map(island),
+        "crit7_agree.csv": lambda: acc._produce_crit7_agree(island, trees),
+        "crit7_cmp.csv": lambda: acc._produce_crit7_cmp(island),
+        "crit7_local.csv": lambda: acc._produce_crit7_local(island),
+        "crit8.csv": lambda: acc._produce_crit8(island, family),
+        "detect_calls.txt": lambda: _detect_calls(island, trees),
     }
+    unknown = [name for name in argv[1:] if name not in producers and name not in SWEEPS]
+    if not argv or unknown:
+        print("usage: acceptance_csvs.py OUTDIR [NAME ...]", file=sys.stderr)
+        if unknown:
+            print(f"unknown names: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    out, names = Path(argv[0]), set(argv[1:]) or {*producers, *SWEEPS}
+    out.mkdir(parents=True, exist_ok=True)
     for name, producer in producers.items():
-        (out / f"{name}.csv").write_text(producer())
-        print(f"wrote {out / name}.csv")
-    (out / "detect_calls.txt").write_text(_detect_calls(island, trees))
-    print(f"wrote {out / 'detect_calls.txt'}")
-    _sweeps(out)
+        if name in names:
+            (out / name).write_text(producer())
+            print(f"wrote {out / name}")
+    _sweeps(out, [name for name in SWEEPS if name in names])
     return 0
 
 

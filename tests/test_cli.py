@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from gridtree import (
     detect_map,
     detect_zero_flow_map,
 )
+from gridtree import cli
 from gridtree.cli import main
 from gridtree.detect import DETECTOR_NAMES
 from gridtree.fileio import (
@@ -434,6 +436,69 @@ class TestSweepAndRanking:
             assert rc == 1
             assert "--sigma / --cv" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may depend on the
+    calls before it."""
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        out.unlink(missing_ok=True)
+        rc = main(argv)
+        std = capsys.readouterr()
+        return rc, std.out, std.err, out.read_bytes() if out.exists() else None
+
+    def test_calls_in_sequence_match_fresh_parsers(self, island, island_files, tmp_path, capsys):
+        gpath, lpath = island_files
+        pl = Placement((6, 7, 10, 12))
+        tree = SpanningTree(frozenset({0, 1, 2, 3, 4, 6, 9, 10, 12}))
+        s = hypothesis_flow(island.graph, tree, pl, island.load_model.means)
+        ppath, opath, out = tmp_path / "p.place", tmp_path / "o.obs", tmp_path / "out.csv"
+        ppath.write_text(format_placement(pl))
+        opath.write_text(format_observation(s))
+        files = ["--graph", str(gpath), "--loads", str(lpath), "--placement", str(ppath)]
+        sweep = ["sweep", *files, "--sigma", "0.2", "--seed", "3", "--method", "fmst", "--require-tau"]
+        detect = ["detect", *files, "--obs", str(opath), "--method", "map", "--require-tau", "--out", str(out)]
+        calls = [
+            [*sweep, "--trials", "4", "--local-search", "--out", str(out)],
+            [*sweep, "--trials", "4", "--out", str(out)],
+            [*detect, "--sigma", "0.3"],
+            detect,
+            [*sweep, "--trials", "0", "--out", str(out)],  # a usage error
+            [*sweep, "--trials", "4", "--local-search", "--out", str(out)],
+        ]
+        cli._shared_parser.cache_clear()
+        shared = [self._run(argv, out, capsys) for argv in calls]
+        assert cli._shared_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._shared_parser.cache_clear()
+            fresh.append(self._run(argv, out, capsys))
+        assert shared == fresh
+        assert [rc for rc, *_ in shared] == [0, 0, 0, 0, 1, 0]
+        assert shared[0] != shared[1] and shared[2] != shared[3]  # each flag took effect
+        assert shared[0] == shared[5]
+        assert "+local" not in shared[1][3].decode()
+
+
+class TestSweepBytes:
+    #: sha256 of the fmst sweep captures of ``acceptance_csvs.py``, as the
+    #: per-row Kruskal sweep wrote them
+    DIGESTS = {
+        "sweep_fmst_3.csv": "fd6e3fbff50adde49220d8deced25538b4a533b8ac8cee829f169072d9c4cf2f",
+        "sweep_fmst_40.csv": "386c18af34927862fef65324cffda543d1643caafb7879ba4fe80eaa6818cf07",
+        "sweep_fmst_local_3.csv": "79b7cf873fcec443efdf47cce26da8dc2b025ba0dca8fec66b604099f7a1ea07",
+        "sweep_fmst_local_40.csv": "7d8bf4dd518b23a338c669da7c43bab5a22ff18e3774bd519ecc77c56f819ac2",
+    }
+
+    def test_fmst_sweeps_keep_their_bytes(self, tmp_path, capsys):
+        import acceptance_csvs
+
+        assert acceptance_csvs.main([str(tmp_path), *self.DIGESTS]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.DIGESTS)
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_console_module_smoke(tmp_path):

@@ -33,11 +33,13 @@ from gridtree import (
     log_likelihood,
     max_weight_spanning_tree,
     observation_matrix,
+    relaxed_flow_solution,
     tree_edge_flows,
     tree_to_placement,
     zero_flow_statistic,
     zero_flow_transform,
 )
+import gridtree.detect
 from gridtree.detect import (
     DETECTORS,
     HypothesisBank,
@@ -45,10 +47,11 @@ from gridtree.detect import (
     ReducedGaussian,
     _descent_walk,
     _first_best,
+    _fmst_batch,
     _local_walk,
     _score,
 )
-from conftest import lattice_graph, random_connected_graph
+from conftest import lattice_graph, random_connected_graph, random_forest
 from test_prune import _snapshot
 
 GENERIC_LOADS = np.array([1.13, 0.91, 1.27, 0.73, 1.19])
@@ -62,6 +65,14 @@ def tau_trees(island):
 @pytest.fixture(scope="module")
 def tau_placements(island):
     return enumerate_valid_placements(island.graph, island.tau).placements
+
+
+@pytest.fixture(scope="class")
+def lattice4():
+    """The 4x4 lattice, one seeded snapshot on it (placement, model, readings,
+    true tree), and all 100,352 of its trees."""
+    graph = lattice_graph(4)
+    return graph, *_snapshot(graph, np.random.default_rng(5)), list(enumerate_spanning_trees(graph))
 
 
 class TestReducedGaussian:
@@ -981,13 +992,12 @@ class TestLocalSearch:
 
 
 class TestBankMemory:
-    def test_walks_hold_neighbour_rows_only_for_the_trees_they_visit(self):
+    def test_walks_hold_neighbour_rows_only_for_the_trees_they_visit(self, lattice4):
         # a bank over all 100,352 trees of the 4x4 lattice: a dense neighbour
         # table over them would take 129 MB; the walks visit a few dozen trees
-        graph = lattice_graph(4)
-        placement, model, s, _ = _snapshot(graph, np.random.default_rng(5))
+        graph, placement, model, s, _, trees = lattice4
         cache = HypothesisCache(graph, placement, model)
-        bank = HypothesisBank(cache, trees=list(enumerate_spanning_trees(graph)), readings=s[None])
+        bank = HypothesisBank(cache, trees=trees, readings=s[None])
         tracemalloc.start()
         try:
             starts = bank.starts()
@@ -998,6 +1008,89 @@ class TestBankMemory:
             tracemalloc.stop()
         assert starts[0] >= 0
         assert peak < 8e6
+
+
+    def test_fmst_rows_hold_no_rows_by_hypotheses_totals(self, lattice4):
+        # 500 rows on a 4x4 bank of 1,211 hypotheses (a rows x hypotheses
+        # table of totals would take 4.8 MB), and 8 on one of all 100,352,
+        # whose rows go to Kruskal (the bank's own score table there takes
+        # 6.4 MB, allocated before tracing)
+        graph, placement, model, s, true, trees = lattice4
+        rng = np.random.default_rng(6)
+        for restriction, rows in ((frozenset(sorted(true.edge_ids)[8:]), 500), (frozenset(), 8)):
+            readings = s + 0.01 * rng.standard_normal((rows, len(s)))
+            flows = np.abs(relaxed_flow_solution(graph, placement, model.means, readings))
+            hypotheses = [t for t in trees if restriction <= t.edge_ids]
+            bank = HypothesisBank(HypothesisCache(graph, placement, model), restriction, hypotheses, readings)
+            tracemalloc.start()
+            try:
+                picks = _fmst_batch(bank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [bank.trees[i] for i in picks] == max_weight_spanning_tree(graph, flows, restriction)
+            assert peak < 2e6, (len(hypotheses), peak)
+
+
+class TestFmstProduct:
+    """An fmst sweep's trees come from one product over the bank's hypotheses,
+    and are per-row Kruskal's; rows the guard leaves undecided go to Kruskal."""
+
+    @staticmethod
+    def _fallback(monkeypatch) -> list:
+        """Rows of each Kruskal call made from the bank, from now on."""
+        rows, kruskal = [], gridtree.detect.max_weight_spanning_tree
+
+        def counting(graph, weights, required):
+            rows.append(len(weights))
+            return kruskal(graph, weights, required)
+
+        monkeypatch.setattr(gridtree.detect, "max_weight_spanning_tree", counting)
+        return rows
+
+    @pytest.mark.parametrize("tau", [True, False])
+    def test_island_sweep_rows_equal_per_call_fmst(self, island, monkeypatch, tau):
+        restriction = island.tau if tau else frozenset()
+        trees = list(enumerate_spanning_trees(island.graph, restriction))
+        pl = Placement((6, 7, 10, 12))
+        model = island.load_model.with_stddev(0.2)
+        rng = np.random.default_rng(31)
+        rows = [np.zeros(4), np.zeros(4)]  # zero readings
+        for t in trees[::3]:
+            loads = model.means + 0.2 * rng.standard_normal((4, 5))
+            rows += list(loads @ observation_matrix(island.graph, t, pl).T)
+        readings = np.array(rows)
+        bank = HypothesisBank(HypothesisCache(island.graph, pl, model), restriction, trees, readings)
+        want = [detect_fmst(island.graph, pl, model, s, restriction).tree for s in readings]
+        fallback = self._fallback(monkeypatch)
+        assert [bank.trees[i] for i in _fmst_batch(bank)] == want
+        # with the root edges free, a feeder serving no island carries no
+        # flow, so trees tie and every row is Kruskal's; with them required,
+        # no row is
+        assert fallback == ([] if tau else [len(readings)])
+
+    def test_random_graphs_and_forced_ties(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            g = random_connected_graph(rng)
+            required = random_forest(rng, g)
+            trees = list(enumerate_spanning_trees(g, required))
+            placement = tree_to_placement(g, max_weight_spanning_tree(g, rng.random(g.n_edges)))
+            ones = np.ones(len(g.load_vertices))
+            bank = HypothesisBank(HypothesisCache(g, placement, LoadModel(g.load_vertices, ones, ones)), required, trees)
+            n = g.n_edges
+            ties = np.array([np.zeros(n), np.full(n, 2.5), np.where(rng.random(n) < 0.5, -0.0, 0.0)])
+            spread = np.array([np.abs(rng.normal(size=n)), 1e6 * rng.random(n), rng.integers(0, 3, n) + 0.0])
+            for weights in (ties, spread):
+                fallback = self._fallback(monkeypatch)
+                picks = bank.max_weight_trees(weights)
+                want = [max_weight_spanning_tree(g, w, required) for w in weights]
+                assert [bank.trees[i] for i in picks] == want
+                if weights is ties:  # every tree weighs the same: Kruskal's tie rule decides
+                    assert fallback == ([3] if len(trees) > 1 else [])
+                else:
+                    assert sum(fallback) <= 1  # only the small-integer row can tie
+                monkeypatch.undo()
 
 
 class TestZeroFlowCache:

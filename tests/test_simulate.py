@@ -168,8 +168,16 @@ class TestStochasticSweep:
 
     @pytest.mark.parametrize("local_search", [False, True])
     def test_one_required_forest_per_fmst_block(self, island, tau_family, monkeypatch, local_search):
+        # at most one forest per block, and only for blocks with rows that the
+        # product over the hypotheses leaves to Kruskal
         calls = {"forest": 0, "block": 0}
+        fallback = []  # rows of each Kruskal call
         forest, load = gridtree.graph._required_forest, gridtree.detect.HypothesisBank.load
+        kruskal = gridtree.detect.max_weight_spanning_tree
+
+        def counting_kruskal(graph, weights, required):
+            fallback.append(len(weights))
+            return kruskal(graph, weights, required)
 
         def counting_forest(*args):
             calls["forest"] += 1
@@ -181,6 +189,7 @@ class TestStochasticSweep:
 
         monkeypatch.setattr(gridtree.graph, "_required_forest", counting_forest)
         monkeypatch.setattr(gridtree.detect.HypothesisBank, "load", counting_load)
+        monkeypatch.setattr(gridtree.detect, "max_weight_spanning_tree", counting_kruskal)
         config = ExperimentConfig(
             graph=island.graph,
             load_model=island.load_model,
@@ -196,8 +205,9 @@ class TestStochasticSweep:
         assert len(report.rows) == 2 * 2 * 44
         # 2 x 2 groups of 44 x 30 rows, loaded 33 cells at a time
         assert calls["block"] == 2 * 2 * 2
-        # one forest for the sweep's enumeration of the hypotheses, then one per block
-        assert calls["forest"] == 1 + calls["block"]
+        # one forest for the sweep's enumeration of the hypotheses, then one per Kruskal call
+        assert calls["forest"] == 1 + len(fallback)
+        assert len(fallback) <= calls["block"] and all(fallback)
 
     def test_doubling_trials_shrinks_stderr(self, island, tau_family):
         def stderr_at(trials):
