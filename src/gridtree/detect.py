@@ -40,10 +40,10 @@ Per-call and batch MAP (and ``detect_zero_flow_map``) pick with one
 first-best rule, ``_first_best``.  Per-call MAP scores its hypotheses as
 one ``_score`` stack, not through a one-row bank, which would also number
 them.  Per-call ``detect_fmst`` takes Kruskal's tree on |relaxed flow|;
-its batch form takes, per row, the hypothesis of greatest total |flow|,
-one product of a 0/1 hypotheses x |E| table with the block of flows
-(``HypothesisBank.max_weight_trees``), which is Kruskal's tree wherever it
-wins by more than a guard; the other rows go to Kruskal.
+its batch form takes, per row, the hypothesis of greatest total rank
+weight, one product of the rows' rank weights with a 0/1 |E| x hypotheses
+table (``HypothesisBank.max_weight_trees``), which is Kruskal's tree
+exactly, ties included.
 
 ``DETECTORS`` is the one registry of detectors by name, used by the CLI and
 the Monte Carlo sweep alike; ``DETECTOR_BATCHES`` holds the batch forms the
@@ -729,9 +729,10 @@ class HypothesisBank:
 
     A tree's score column is filled on first use, as one ``_score`` stack
     on the whole block; a tree lacking an edge of the block's
-    ``_sensor_support`` scores -inf on every row unbuilt.  Memory per loaded
-    block is one float per (row, numbered tree), NaN until scored, and a
-    spare last entry that number -1 reads.
+    ``_sensor_support`` scores -inf on every row unbuilt.  The score table,
+    one float per (row, numbered tree) and NaN until scored, grows by
+    doubling on a score's first need; a load keeps only its last row, the
+    -inf that number -1 reads, so ``fmst``, which scores nothing, makes none.
     """
 
     def __init__(
@@ -752,12 +753,11 @@ class HypothesisBank:
         self._width = max(graph.n_vertices, 2)
         self.trees: list[SpanningTree] = []
         self._numbers: dict[frozenset, int] = {}
-        self._capacity = len(trees) or 64
         # per slot: the neighbour rows made so far, stacked, and the row of
         # each tree number; row 0, all -1, is number -1's
         self._hoods = [(np.full((1, self._width), -1, dtype=np.intp), {-1: 0}) for _ in range(self.mu + 1)]
         self._starts: dict[bytes, int] = {}
-        self._edges: np.ndarray | None = None  # max_weight_trees' hypotheses x |E| table
+        self._edges: np.ndarray | None = None  # max_weight_trees' |E| x hypotheses table
         if readings is None:
             readings = np.zeros((0, len(cache.placement.edge_ids)))
         self.load(readings)
@@ -770,23 +770,26 @@ class HypothesisBank:
         if i is None:
             i = self._numbers[tree.edge_ids] = len(self.trees)
             self.trees.append(tree)
-            if i == self._capacity:
-                self._reserve(2 * i)
         return i
 
     def _reserve(self, capacity: int) -> None:
+        """Give the score table rows for ``capacity`` trees, keeping the scores made."""
         scores = np.full((capacity + 1, len(self.readings)), np.nan)
-        scores[: self._capacity] = self._scores[:-1]
+        scores[: len(self._scores) - 1] = self._scores[:-1]
         scores[-1] = _NEG_INF
-        self._scores, self._capacity = scores, capacity
+        self._scores = scores
+
+    def _table(self) -> np.ndarray:
+        """The score table, grown first, by doubling, to hold every tree numbered so far."""
+        if len(self._scores) <= len(self.trees):
+            self._reserve(max(len(self.trees), 2 * (len(self._scores) - 1)))
+        return self._scores
 
     def load(self, readings: np.ndarray) -> None:
         """Make ``readings`` (one row per observation) the block that is scored."""
         self.readings = np.asarray(readings, dtype=float)
         self._needed = _sensor_support(self.cache.placement, self.cache.model, self.readings)
-        self._scores = None  # the last block's scores go before this block's are made
-        self._scores = np.full((self._capacity + 1, len(self.readings)), np.nan)
-        self._scores[-1] = _NEG_INF
+        self._scores = np.full((1, len(self.readings)), _NEG_INF)  # number -1's row
 
     def _fill(self, ids) -> None:
         held = [i for i in ids if self._needed <= self.trees[i].edge_ids]
@@ -796,7 +799,7 @@ class HypothesisBank:
     def score(self, rows, ids) -> np.ndarray:
         """Scores of trees ``ids`` on loaded rows ``rows``; ``rows`` broadcasts
         to the shape of ``ids``."""
-        scores = self._scores[ids, rows]
+        scores = self._table()[ids, rows]
         missing = np.isnan(scores)
         if missing.any():
             self._fill(list(dict.fromkeys(ids[missing].tolist())))
@@ -805,54 +808,48 @@ class HypothesisBank:
 
     def table(self) -> np.ndarray:
         """Hypotheses x rows: the score of every hypothesis on every loaded row."""
-        scores = self._scores[: self.n_hypotheses]
+        scores = self._table()[: self.n_hypotheses]
         if len(self.readings):
             self._fill(np.flatnonzero(np.isnan(scores[:, 0])).tolist())
         return scores
 
     def max_weight_trees(self, weights: np.ndarray) -> np.ndarray:
         """Number of ``max_weight_spanning_tree(graph, w, required)`` for each
-        row ``w`` of ``weights`` (rows x |E|).
+        row ``w`` of ``weights`` (rows x |E|); ModelError, for the block, if
+        a weight is not finite.
 
-        A greedy maximum-weight tree maximises a linear function over the
-        spanning-tree polytope (Edmonds, 1971), and the hypotheses are every
-        tree holding ``required``.  So a hypothesis whose total weight beats
-        every other's by more than ``1e-9 * max(1, sum |w|)``, far above the
-        rounding of a sum of |E| terms (at most |E| eps sum |w|), is the one
-        maximum, and Kruskal's tree.  The totals are a 0/1 hypotheses x |E|
-        table, made once, times the rows, in blocks of hypotheses that hold
-        at most 2**16 totals, keeping each row's best and second-best total.
-        Every other row (a tie within the guard, a non-finite weight) goes
-        to one block ``max_weight_spanning_tree`` call, whose tie rule then
-        decides and whose errors hold for the block.  So do all rows when
-        the table would pass 2**15 entries: the product's cost per row grows
-        with the hypotheses and Kruskal's does not.  On a 2-vCPU x86 host the
-        product took a twentieth of Kruskal's time per row on the island's
-        44 trees, four fifths of it on 1,211 trees of the 4x4 lattice
-        (29,064 entries), and over 30 times as long on all its 100,352.
+        Kruskal's tree depends only on its edge order, one stable argsort of
+        -w, and under a strict order the greedy basis of a matroid is the
+        lexicographically greatest (Gale, 1968).  So among the hypotheses,
+        every tree holding ``required``, it is the one of greatest total when
+        the edge of rank k weighs ``2**(|E| - 1 - k)``.  These totals, rank
+        weights times a 0/1 |E| x hypotheses table made once, in chunks of
+        rows of at most 2**16 totals, are distinct integers below 2**|E|,
+        which float64 sums exactly while |E| <= 53: each argmax is Kruskal's
+        tree, ties in w included.  Past 2**15 table entries or 53 edges, or
+        with no hypothesis, all rows go to one block Kruskal call instead,
+        whose errors hold for the block.  On a 2-vCPU x86 host the product
+        took a tenth of Kruskal's time per row on the island's 44 or 256
+        trees, four fifths on 1,211 trees of the 4x4 lattice (29,064
+        entries), and 55 times as long on all its 100,352.
         """
-        n, graph = len(weights), self.cache.graph
-        if self._edges is None:  # row j holds hypothesis j's edges
-            count = self.n_hypotheses if self.n_hypotheses * graph.n_edges <= 2**15 else 0
+        w, graph = _finite(weights, "weights"), self.cache.graph
+        if self._edges is None:  # column j holds hypothesis j's edges
+            small = self.n_hypotheses * graph.n_edges <= 2**15 and graph.n_edges <= 53
+            count = self.n_hypotheses if small else 0
             ids = np.fromiter(chain.from_iterable(t.edge_ids for t in self.trees[:count]), np.intp)
-            self._edges = np.zeros((count, graph.n_edges), dtype=bool)
-            self._edges[np.arange(count).repeat(graph.n_vertices - 1), ids] = True
-        best, top, second = np.zeros(n, dtype=np.intp), np.full(n, _NEG_INF), np.full(n, _NEG_INF)
-        at = np.arange(n)
-        step = max(1, 2**16 // max(n, graph.n_edges))
-        for a in range(0, len(self._edges), step):
-            totals = self._edges[a : a + step].astype(float) @ weights.T  # hypotheses x rows
-            k = totals.argmax(axis=0)
-            hi = totals[k, at]
-            totals[k, at] = _NEG_INF
-            second = np.maximum(second, np.maximum(totals.max(axis=0), np.minimum(hi, top)))
-            best = np.where(hi > top, a + k, best)
-            top = np.maximum(top, hi)
-        clear = top > second + 1e-9 * np.maximum(1.0, np.abs(weights).sum(axis=1))
-        picks, rest = np.where(clear, best, -1), np.flatnonzero(~clear)
-        if len(rest):
-            trees = max_weight_spanning_tree(graph, weights[rest], self.required)
-            picks[rest] = [self.number(tree) for tree in trees]
+            self._edges = np.zeros((graph.n_edges, count))
+            self._edges[ids, np.arange(count).repeat(graph.n_vertices - 1)] = 1.0
+        if not self._edges.shape[1]:
+            trees = max_weight_spanning_tree(graph, w, self.required)
+            return np.array([self.number(tree) for tree in trees], dtype=np.intp)
+        picks = np.empty(len(w), dtype=np.intp)
+        powers = 2.0 ** np.arange(graph.n_edges - 1, -1, -1)  # the weight of rank k
+        step = max(1, 2**16 // max(self._edges.shape[1], graph.n_edges))
+        for a in range(0, len(w), step):
+            ranked = np.empty_like(w[a : a + step])
+            np.put_along_axis(ranked, np.argsort(-w[a : a + step], axis=1, kind="stable"), powers, axis=1)
+            picks[a : a + step] = (ranked @ self._edges).argmax(axis=1)
         return picks
 
     def neighbours(self, ids: np.ndarray, slot: int) -> np.ndarray:
@@ -1010,10 +1007,9 @@ def _fmst_batch(bank: HypothesisBank) -> np.ndarray:
 #: raises.  A batch form raises only errors that hold for every row, and
 #: ``HypothesisBank.detect``, the one place that catches them, gives every
 #: row -1.  ``fmst`` skips the chosen tree's log-likelihood, and picks each
-#: row's tree as the product of the bank's hypotheses x |E| edge table with
-#: the row's |relaxed flow|: the heaviest hypothesis where it outweighs the
-#: next by more than ``1e-9 * max(1, sum |f|)``, else (ties, non-finite
-#: flows, tables past 2**15 entries) Kruskal's tree from one block call.
+#: row's tree as the heaviest hypothesis under the rank weights of the row's
+#: |relaxed flow|, Kruskal's tree exactly (``HypothesisBank.max_weight_trees``;
+#: tables past 2**15 entries or 53 edges go to one block Kruskal call).
 DETECTOR_BATCHES = {
     "map": lambda bank: _first_best(bank.table()),
     "fmst": _fmst_batch,

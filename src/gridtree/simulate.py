@@ -124,21 +124,23 @@ class ErrorReport:
     rows: list[SweepRow] = field(default_factory=list)
 
     def filtered(self, placement=None, detector=None, sigma=None) -> list[SweepRow]:
-        out = []
-        for r in self.rows:
-            if placement is not None and r.placement != placement:
-                continue
-            if detector is not None and r.detector != detector:
-                continue
-            if sigma is not None and r.sigma != sigma:
-                continue
-            out.append(r)
-        return out
+        return [
+            r for r in self.rows
+            if (placement is None or r.placement == placement)
+            and (detector is None or r.detector == detector)
+            and (sigma is None or r.sigma == sigma)
+        ]
+
+    def _selected(self, placement, detector, sigma) -> list[SweepRow]:
+        """``filtered``'s rows; ModelError, naming the filter, if there is none."""
+        rows = self.filtered(placement, detector, sigma)
+        if not rows:
+            raise ModelError(f"no row for placement={placement!r}, detector={detector!r}, sigma={sigma!r}")
+        return rows
 
     def rate(self, placement=None, detector=None, sigma=None) -> float:
-        rows = self.filtered(placement, detector, sigma)
-        trials = sum(r.trials for r in rows)
-        return sum(r.misses for r in rows) / trials
+        rows = self._selected(placement, detector, sigma)
+        return sum(r.misses for r in rows) / sum(r.trials for r in rows)
 
     def stderr(self, placement=None, detector=None, sigma=None) -> float:
         p = self.rate(placement, detector, sigma)
@@ -147,13 +149,11 @@ class ErrorReport:
 
     def g1(self, placement=None, detector=None, sigma=None) -> float:
         """Mean missed-detection rate over hypothesis trees (uniform prior)."""
-        rows = self.filtered(placement, detector, sigma)
-        return float(np.mean([r.rate for r in rows]))
+        return float(np.mean([r.rate for r in self._selected(placement, detector, sigma)]))
 
     def g2(self, placement=None, detector=None, sigma=None) -> float:
         """Worst missed-detection rate over hypothesis trees."""
-        rows = self.filtered(placement, detector, sigma)
-        return float(np.max([r.rate for r in rows]))
+        return float(np.max([r.rate for r in self._selected(placement, detector, sigma)]))
 
     def to_csv(self) -> str:
         return _csv_text(

@@ -4,13 +4,15 @@ CSVs of every registry detector, to a directory.
 Usage: ``PYTHONPATH=src python tests/acceptance_csvs.py OUTDIR [NAME ...]``
 
 With NAMEs (file names, such as ``sweep_fmst_40.csv``), only those files
-are written; without, all 33.
+are written; without, all 37.
 
 The producers are the ``_produce_*`` functions of ``test_acceptance.py``,
 run with the same seeds as the acceptance tests.  The sweeps run the CLI
 on the island fixture (placement 6 7 10 12, ``--require-tau``, sigma 0.05,
 0.2 and 0.5) for every detector in ``DETECTOR_NAMES``, with and without
-``--local-search``, at 3 and 40 trials per cell.
+``--local-search``, at 3 and 40 trials per cell.  The ``fmst`` sweeps run
+again without ``--require-tau`` (``sweep_fmst*_notau_*.csv``): a feeder
+serving no island then carries no flow, so a row's |flows| tie.
 
 ``detect_calls.txt`` holds one line per per-call result of ``detect_map``,
 ``detect_zero_flow_map``, ``detect_fmst``, ``detect_cycle_descent`` and
@@ -56,10 +58,11 @@ from conftest import lattice_graph
 from test_prune import _snapshot
 
 
-#: file name -> (detector, --local-search, trials per cell) of each sweep capture
+#: file name -> (detector, --local-search, trials per cell, --require-tau) of each sweep capture
 SWEEPS = {
-    f"sweep_{name}{'_local' if local else ''}_{trials}.csv": (name, local, trials)
-    for name in DETECTOR_NAMES
+    f"sweep_{name}{'_local' if local else ''}{'' if tau else '_notau'}_{trials}.csv":
+        (name, local, trials, tau)
+    for name, tau in [(name, True) for name in DETECTOR_NAMES] + [("fmst", False)]
     for local in (False, True)
     for trials in (3, 40)
 }
@@ -71,12 +74,12 @@ def _sweeps(out: Path, names) -> None:
         cli_main(["fixture", "--out", str(graph), "--loads", str(loads)])
         placement.write_text(format_placement(Placement((6, 7, 10, 12))))
         for file in names:
-            name, local, trials = SWEEPS[file]
+            name, local, trials, tau = SWEEPS[file]
             rc = cli_main([
                 "sweep", "--graph", str(graph), "--loads", str(loads),
                 "--placement", str(placement), "--sigma-grid", "0.05,0.2,0.5",
-                "--trials", str(trials), "--seed", "7", "--method", name,
-                "--require-tau", "--out", str(out / file), *(["--local-search"] if local else []),
+                "--trials", str(trials), "--seed", "7", "--method", name, "--out", str(out / file),
+                *(["--require-tau"] if tau else []), *(["--local-search"] if local else []),
             ])
             if rc != 0:
                 raise SystemExit(f"sweep for {file} exited {rc}")

@@ -483,13 +483,17 @@ class TestParserReuse:
 
 
 class TestSweepBytes:
-    #: sha256 of the fmst sweep captures of ``acceptance_csvs.py``, as the
-    #: per-row Kruskal sweep wrote them
+    #: sha256 of the fmst sweep captures of ``acceptance_csvs.py``, as
+    #: sweeps that took each row's tree from Kruskal wrote them
     DIGESTS = {
         "sweep_fmst_3.csv": "fd6e3fbff50adde49220d8deced25538b4a533b8ac8cee829f169072d9c4cf2f",
         "sweep_fmst_40.csv": "386c18af34927862fef65324cffda543d1643caafb7879ba4fe80eaa6818cf07",
         "sweep_fmst_local_3.csv": "79b7cf873fcec443efdf47cce26da8dc2b025ba0dca8fec66b604099f7a1ea07",
         "sweep_fmst_local_40.csv": "7d8bf4dd518b23a338c669da7c43bab5a22ff18e3774bd519ecc77c56f819ac2",
+        "sweep_fmst_notau_3.csv": "27ceac8bb3ea3f8abbee27c926daa183623b80489cb95a0568ae9b2431a785eb",
+        "sweep_fmst_notau_40.csv": "eebd9cc9f843b253e766634119153feb6237b19a3cd5eecebdb8bff5816b757a",
+        "sweep_fmst_local_notau_3.csv": "856bf71045a7d0d46781cffa3318affe0115c0cba2a5f5aabe5444f5381edb08",
+        "sweep_fmst_local_notau_40.csv": "6223a5b8f51c2138fcff0a447705a1e7a9d4937febb27538fabccb503eb79668",
     }
 
     def test_fmst_sweeps_keep_their_bytes(self, tmp_path, capsys):

@@ -1013,8 +1013,7 @@ class TestBankMemory:
     def test_fmst_rows_hold_no_rows_by_hypotheses_totals(self, lattice4):
         # 500 rows on a 4x4 bank of 1,211 hypotheses (a rows x hypotheses
         # table of totals would take 4.8 MB), and 8 on one of all 100,352,
-        # whose rows go to Kruskal (the bank's own score table there takes
-        # 6.4 MB, allocated before tracing)
+        # whose rows go to Kruskal
         graph, placement, model, s, true, trees = lattice4
         rng = np.random.default_rng(6)
         for restriction, rows in ((frozenset(sorted(true.edge_ids)[8:]), 500), (frozenset(), 8)):
@@ -1031,10 +1030,29 @@ class TestBankMemory:
             assert [bank.trees[i] for i in picks] == max_weight_spanning_tree(graph, flows, restriction)
             assert peak < 2e6, (len(hypotheses), peak)
 
+    def test_loads_make_no_score_table_for_fmst(self, lattice4):
+        # a bank over all 100,352 trees with 100 rows: fmst scores no tree,
+        # so a score table made on load (80 MB) would be waste; numbering
+        # the trees takes 11 MB
+        graph, placement, model, s, _, trees = lattice4
+        readings = s + 0.01 * np.random.default_rng(7).standard_normal((100, len(s)))
+        tracemalloc.start()
+        try:
+            bank = HypothesisBank(HypothesisCache(graph, placement, model), trees=trees, readings=readings)
+            bank.load(readings)
+            picks = _fmst_batch(bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flows = np.abs(relaxed_flow_solution(graph, placement, model.means, readings))
+        assert [bank.trees[i] for i in picks] == max_weight_spanning_tree(graph, flows)
+        assert peak < 16e6
+
 
 class TestFmstProduct:
-    """An fmst sweep's trees come from one product over the bank's hypotheses,
-    and are per-row Kruskal's; rows the guard leaves undecided go to Kruskal."""
+    """An fmst sweep's trees come from one product of rank weights with the
+    bank's hypotheses, exactly per-row Kruskal's, ties included; only tables
+    past 2**15 entries or 53 edges go to Kruskal."""
 
     @staticmethod
     def _fallback(monkeypatch) -> list:
@@ -1065,9 +1083,8 @@ class TestFmstProduct:
         fallback = self._fallback(monkeypatch)
         assert [bank.trees[i] for i in _fmst_batch(bank)] == want
         # with the root edges free, a feeder serving no island carries no
-        # flow, so trees tie and every row is Kruskal's; with them required,
-        # no row is
-        assert fallback == ([] if tau else [len(readings)])
+        # flow, so trees tie on |flow|; the ranks still decide, with no Kruskal call
+        assert fallback == []
 
     def test_random_graphs_and_forced_ties(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -1086,11 +1103,54 @@ class TestFmstProduct:
                 picks = bank.max_weight_trees(weights)
                 want = [max_weight_spanning_tree(g, w, required) for w in weights]
                 assert [bank.trees[i] for i in picks] == want
-                if weights is ties:  # every tree weighs the same: Kruskal's tie rule decides
-                    assert fallback == ([3] if len(trees) > 1 else [])
-                else:
-                    assert sum(fallback) <= 1  # only the small-integer row can tie
+                assert fallback == []
                 monkeypatch.undo()
+
+    @staticmethod
+    def _lattice_bank(n, keep):
+        """A bank over the n x n lattice's trees holding all but ``keep`` edges
+        of a seeded snapshot's true tree, and that snapshot's |relaxed flow|."""
+        graph = lattice_graph(n)
+        placement, model, s, true = _snapshot(graph, np.random.default_rng(n))
+        restriction = frozenset(sorted(true.edge_ids)[keep:])
+        trees = list(enumerate_spanning_trees(graph, restriction))
+        bank = HypothesisBank(HypothesisCache(graph, placement, model), restriction, trees)
+        return bank, np.abs(relaxed_flow_solution(graph, placement, model.means, s))
+
+    def test_near_ties_on_a_5x5_bank(self, monkeypatch):
+        # totals within 1e-12 of each other: a product of the weights
+        # themselves could not tell them apart, and their ranks can
+        bank, flow = self._lattice_bank(5, 6)
+        graph = bank.cache.graph
+        assert graph.n_edges == 40 and len(bank.trees) * 40 <= 2**15
+        noise = 1.0 + 1e-13 * np.random.default_rng(8).standard_normal((2, 50, 40))
+        weights = np.concatenate([flow * noise[0], np.ones(40) * noise[1]])
+        fallback = self._fallback(monkeypatch)
+        picks = bank.max_weight_trees(weights)
+        assert fallback == []
+        assert [bank.trees[i] for i in picks] == max_weight_spanning_tree(graph, weights, bank.required)
+        assert len(set(picks[50:].tolist())) > 1
+
+    def test_more_than_53_edges_go_to_one_kruskal_call(self, monkeypatch):
+        bank, flow = self._lattice_bank(6, 4)
+        graph = bank.cache.graph
+        assert graph.n_edges == 60 and len(bank.trees) * 60 <= 2**15
+        weights = np.array([flow, np.ones(60), flow * (1.0 + 1e-13 * np.arange(60))])
+        fallback = self._fallback(monkeypatch)
+        picks = bank.max_weight_trees(weights)
+        assert fallback == [3]
+        assert [bank.trees[i] for i in picks] == max_weight_spanning_tree(graph, weights, bank.required)
+
+    def test_zero_rows_and_non_finite_weights(self, island):
+        trees = list(enumerate_spanning_trees(island.graph, island.tau))
+        cache = HypothesisCache(island.graph, Placement((6, 7, 10, 12)), island.load_model)
+        bank = HypothesisBank(cache, island.tau, trees)
+        picks = bank.max_weight_trees(np.zeros((0, island.graph.n_edges)))
+        assert picks.shape == (0,) and picks.dtype == np.intp
+        weights = np.ones((3, island.graph.n_edges))
+        weights[1, 2] = np.nan
+        with pytest.raises(ModelError, match="finite"):
+            bank.max_weight_trees(weights)
 
 
 class TestZeroFlowCache:

@@ -168,8 +168,8 @@ class TestStochasticSweep:
 
     @pytest.mark.parametrize("local_search", [False, True])
     def test_one_required_forest_per_fmst_block(self, island, tau_family, monkeypatch, local_search):
-        # at most one forest per block, and only for blocks with rows that the
-        # product over the hypotheses leaves to Kruskal
+        # at most one forest per block, and only for blocks that the bank
+        # sends to Kruskal instead of its product over the hypotheses
         calls = {"forest": 0, "block": 0}
         fallback = []  # rows of each Kruskal call
         forest, load = gridtree.graph._required_forest, gridtree.detect.HypothesisBank.load
@@ -421,6 +421,12 @@ class TestErrorReport:
         assert report.filtered(sigma=0.2) == [r for r in rows if r.sigma == 0.2]
         assert report.filtered("3 4", "map", 0.1) == [rows[4]]
         assert report.rate(detector="map") == (0 + 1 + 4 + 5) / 32
+
+    @pytest.mark.parametrize("statistic", ["rate", "stderr", "g1", "g2"])
+    def test_empty_selection_raises_model_error(self, statistic):
+        report = ErrorReport([SweepRow("1 2", "map", 0.1, "0 1", trials=8, misses=1)])
+        with pytest.raises(ModelError, match="placement='nope'"):
+            getattr(report, statistic)(placement="nope")
 
 
 class TestZeroFlowSweepReuse:
