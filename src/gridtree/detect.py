@@ -36,18 +36,20 @@ And a tree lacking a sensor edge that reads nonzero scores -inf
 trees by the matrix-tree theorem instead of enumerating them, and a bank
 numbers them, as walks meet them, but never builds them.
 
-Per-call and batch MAP (and ``detect_zero_flow_map``) pick with one
-first-best rule, ``_first_best``.  Per-call MAP scores its hypotheses as
-one ``_score`` stack, not through a one-row bank, which would also number
+Per-call and batch MAP and the zero-flow test pick with one first-best
+rule, ``_first_best``.  Per-call MAP scores its hypotheses as one
+``_score`` stack, not through a one-row bank, which would also number
 them.  Per-call ``detect_fmst`` takes Kruskal's tree on |relaxed flow|;
 its batch form takes, per row, the hypothesis of greatest total rank
 weight, one product of the rows' rank weights with a 0/1 |E| x hypotheses
 table (``HypothesisBank.max_weight_trees``), which is Kruskal's tree
-exactly, ties included.
+exactly, ties included.  The zero-flow test, the enumeration oracle and
+the deterministic decoder stay brute force, each one block function whose
+one-row case is the per-call detector.
 
-``DETECTORS`` is the one registry of detectors by name, used by the CLI and
-the Monte Carlo sweep alike; ``DETECTOR_BATCHES`` holds the batch forms the
-sweep runs over a bank.
+``DETECTORS`` holds the per-call detectors that return one tree, for the
+CLI; ``DETECTOR_BATCHES`` holds every detector's block form, the one path
+the Monte Carlo sweep runs over a bank.
 """
 
 from __future__ import annotations
@@ -144,9 +146,9 @@ class ReducedGaussian:
     def logpdf_batch(self, values: np.ndarray) -> np.ndarray:
         V = np.asarray(values, dtype=float)
         d = V - self._mean
-        z = d[:, self.keep] @ self._whiten.T
+        z = (d[:, None, self.keep] @ self._whiten.T)[:, 0]  # per row, so a row's bits ignore the block
         tol = 1e-9 * np.maximum(self.tol_scale, np.max(np.abs(V), axis=1, initial=0.0))
-        ok = np.all(np.abs(d[:, self.dep] - z @ self._implied.T) <= tol[:, None], axis=1)
+        ok = np.all(np.abs(d[:, self.dep] - (z[:, None] @ self._implied.T)[:, 0]) <= tol[:, None], axis=1)
         score = 0.0 - 0.5 * ((self.rank * _LOG_2PI + self.logdet) + (z * z).sum(axis=1))
         return np.where(ok, score, _NEG_INF)
 
@@ -377,20 +379,21 @@ def detect_deterministic(
     """
     x, s = _loads(graph, loads), _observation(observation, placement)
     graph.check_edges(placement.edge_ids)
-    f = _relaxed_flow(graph, placement, x, s[None])[0]
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    support = {e for e in range(graph.n_edges) if abs(f[e]) > tol}
-    support.update(graph.check_edges(required_edges))
+    support = _flow_supports(graph, placement, x, s[None])[0].union(graph.check_edges(required_edges))
     if not is_spanning_tree(graph, support):
         raise InconsistentObservationError(
             f"flow support of size {len(support)} is not a spanning tree; "
             "observation inconsistent with the given loads"
         )
-    return DetectionResult(
-        tree=SpanningTree(frozenset(support)),
-        log_likelihood=0.0,
-        method="deterministic",
-    )
+    return DetectionResult(tree=SpanningTree(support), log_likelihood=0.0, method="deterministic")
+
+
+def _flow_supports(graph: Graph, placement: Placement, x: np.ndarray, readings: np.ndarray) -> list[frozenset]:
+    """Per row of ``readings``, the edges whose relaxed flow under loads ``x``
+    exceeds ``1e-9 * max(1, max |x|)``, from one solve of the block."""
+    tol = 1e-9 * np.max(np.abs(x), initial=1.0)
+    flows = _relaxed_flow(graph, placement, x, readings)
+    return [frozenset(np.flatnonzero(np.abs(f) > tol).tolist()) for f in flows]
 
 
 def detect_enumeration_oracle(
@@ -402,12 +405,21 @@ def detect_enumeration_oracle(
 ) -> tuple[SpanningTree, ...]:
     """Every tree whose exact readings match the observation; brute force."""
     x, s = _loads(graph, loads), _observation(observation, placement)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)), float(np.max(np.abs(s), initial=0.0)))
-    cols = list(graph.check_edges(placement.edge_ids))
-    return tuple(
-        tree for tree in enumerate_spanning_trees(graph, restriction)
-        if np.max(np.abs(_edge_flows(graph, tree, x)[cols] - s), initial=0.0) <= tol
-    )
+    graph.check_edges(placement.edge_ids)
+    trees = list(enumerate_spanning_trees(graph, restriction))
+    return tuple(compress(trees, _exact_matches(graph, placement, x, trees, s[None])[:, 0]))
+
+
+def _exact_matches(graph: Graph, placement: Placement, x: np.ndarray, trees, readings: np.ndarray) -> np.ndarray:
+    """Trees x rows: whether each tree's exact readings under loads ``x`` are
+    within ``1e-9 * max(1, max |x|, max |s|)`` of each row ``s``."""
+    cols = list(placement.edge_ids)
+    table = np.array([_edge_flows(graph, t, x)[cols] for t in trees]).reshape(len(trees), len(cols))
+    tol = 1e-9 * np.max(np.abs(readings), axis=1, initial=np.max(np.abs(x), initial=1.0))
+    match = np.ones((len(trees), len(readings)), dtype=bool)
+    for k in range(len(cols)):  # sensor by sensor, so no trees x rows x sensors array is made
+        match &= np.abs(table[:, k, None] - readings[:, k]) <= tol
+    return match
 
 
 # -- exact likelihood search ----------------------------------------------------
@@ -540,20 +552,25 @@ def detect_zero_flow_map(
     same tree as detect_map for minimal valid placements.  ``cache`` is
     optional; pass one to reuse the statistics' Gaussians across calls.
     The statistics' covariances are general, so each is scored by a
-    ReducedGaussian.
+    ReducedGaussian.  This is the one-row case of ``_zero_flow_scores``.
     UnsupportedPlacementError unless |M| is the circuit rank; the flow solve
     raises InvalidPlacementError unless the unmeasured edges form a spanning tree.
     """
-    mu = circuit_rank(graph)
-    if len(placement.edge_ids) != mu:
-        raise UnsupportedPlacementError(
-            f"zero-flow test needs exactly {mu} sensors, got {len(placement.edge_ids)}"
-        )
     observation, cache = _observation_and_cache(graph, placement, model, observation, cache)
-    f_o = _relaxed_flow(graph, placement, model.means, observation[None])[0]
     hypotheses = cache.hypotheses(restriction)
-    scores = [rg.logpdf(f_o[indices]) for indices, rg in map(cache.zero_flow, hypotheses)]
+    scores = _zero_flow_scores(cache, hypotheses, observation[None])[:, 0]
     return _most_likely(hypotheses, scores, "zeroflow", len(hypotheses))
+
+
+def _zero_flow_scores(cache: HypothesisCache, trees: Sequence[SpanningTree], readings: np.ndarray) -> np.ndarray:
+    """Trees x rows: each row's zero-flow log-likelihood under each tree, from one relaxed
+    solve of the block; UnsupportedPlacementError, for the block, unless |M| is the circuit rank."""
+    mu, m = circuit_rank(cache.graph), len(cache.placement.edge_ids)
+    if m != mu:
+        raise UnsupportedPlacementError(f"zero-flow test needs exactly {mu} sensors, got {m}")
+    flows = _relaxed_flow(cache.graph, cache.placement, cache.model.means, readings)
+    scores = [rg.logpdf_batch(flows[:, indices]) for indices, rg in map(cache.zero_flow, trees)]
+    return np.array(scores).reshape(len(trees), len(readings))
 
 
 # -- flow-weighted spanning tree -------------------------------------------------
@@ -711,9 +728,8 @@ class HypothesisBank:
     list, every tree holding ``required_edges``, so tree j is hypothesis j,
     and loads each run of cells in turn.  A per-call detector builds one
     with no list and one row; trees are then numbered as its walk meets
-    them, and nothing is enumerated.
-    ``required_edges`` are the edges no exchange removes, and the restriction
-    the starts and the row-by-row detectors get.
+    them, and nothing is enumerated.  ``required_edges`` are the edges no
+    exchange removes, the starts hold and the deterministic decoder adds.
 
     A tree has ``mu + 1`` neighbour rows of tree numbers (``mu`` the circuit
     rank, at least 1), each the tree itself and then its exchanges, padded
@@ -899,23 +915,12 @@ class HypothesisBank:
 
     def detect(self, name: str, local_search: bool = False) -> np.ndarray:
         """Number of the tree that detector ``name`` (then the local search, if
-        asked) gives each loaded row; -1 where the detector raises.  Detectors
-        without an entry in ``DETECTOR_BATCHES`` run row by row."""
-        batch = DETECTOR_BATCHES.get(name)
-        picks = np.full(len(self.readings), -1, dtype=np.intp)
-        if batch is not None:
-            try:
-                picks = batch(self)
-            except GridTreeError:
-                pass
-        else:
-            cache, detector = self.cache, DETECTORS[name]
-            for r, obs in enumerate(self.readings):
-                try:
-                    result = detector(cache.graph, cache.placement, cache.model, obs, self.required, cache)
-                except GridTreeError:
-                    continue
-                picks[r] = self.number(result.tree)
+        asked) gives each loaded row, from its ``DETECTOR_BATCHES`` form; -1 on
+        every row where that form raises."""
+        try:
+            picks = DETECTOR_BATCHES[name](self)
+        except GridTreeError:
+            picks = np.full(len(self.readings), -1, dtype=np.intp)
         if local_search:
             picks = _local_walk(self, picks)[0]
         return picks
@@ -972,28 +977,29 @@ def _local_walk(bank: HypothesisBank, ids):
 # -- registry ----------------------------------------------------------------------
 
 
-def _enumeration_single(graph, placement, model, observation, restriction, cache):
-    hits = detect_enumeration_oracle(graph, placement, model.means, observation, restriction)
-    if len(hits) != 1:
-        raise GridTreeError(f"enumeration oracle returned {len(hits)} trees")
-    return DetectionResult(tree=hits[0], log_likelihood=0.0, method="enum")
-
-
 #: name -> callable(graph, placement, model, observation, restriction, cache)
 #: returning a DetectionResult; ``cache`` may be None.  Each entry looks its
 #: detector up by module-global name when called, so rebinding a detector
 #: (as an instrumenting wrapper does) also reaches the calls made here.
 DETECTORS = {
     "deterministic": lambda g, p, m, s, r, c: detect_deterministic(g, p, m.means, s, r),
-    "enum": _enumeration_single,
     "map": lambda g, p, m, s, r, c: detect_map(g, p, m, s, r, cache=c),
     "zeroflow": lambda g, p, m, s, r, c: detect_zero_flow_map(g, p, m, s, r, cache=c),
     "fmst": lambda g, p, m, s, r, c: detect_fmst(g, p, m, s, r, cache=c),
-    "cycledescent": lambda g, p, m, s, r, c: detect_cycle_descent(
-        g, p, m, s, cache=c, required_edges=r
-    ),
+    "cycledescent": lambda g, p, m, s, r, c: detect_cycle_descent(g, p, m, s, cache=c, required_edges=r),
 }
-DETECTOR_NAMES = tuple(DETECTORS)
+
+
+def _deterministic_batch(bank: HypothesisBank) -> np.ndarray:
+    cache = bank.cache
+    supports = _flow_supports(cache.graph, cache.placement, cache.model.means, bank.readings)
+    return np.array([bank._numbers.get(s | bank.required, -1) for s in supports], dtype=np.intp)
+
+
+def _enumeration_batch(bank: HypothesisBank) -> np.ndarray:
+    cache, hypotheses = bank.cache, bank.trees[: bank.n_hypotheses]
+    match = _exact_matches(cache.graph, cache.placement, cache.model.means, hypotheses, bank.readings)
+    return np.where(match.sum(axis=0) == 1, np.arange(len(match)) @ match, -1)  # the one match's index
 
 
 def _fmst_batch(bank: HypothesisBank) -> np.ndarray:
@@ -1003,15 +1009,18 @@ def _fmst_batch(bank: HypothesisBank) -> np.ndarray:
 
 
 #: name -> callable(bank) giving, for every row loaded in the HypothesisBank,
-#: the number of the tree that ``DETECTORS[name]`` picks, or -1 where it
-#: raises.  A batch form raises only errors that hold for every row, and
-#: ``HypothesisBank.detect``, the one place that catches them, gives every
-#: row -1.  ``fmst`` skips the chosen tree's log-likelihood, and picks each
-#: row's tree as the heaviest hypothesis under the rank weights of the row's
-#: |relaxed flow|, Kruskal's tree exactly (``HypothesisBank.max_weight_trees``;
-#: tables past 2**15 entries or 53 edges go to one block Kruskal call).
+#: the number of the hypothesis (``bank.trees[:n_hypotheses]``) that detector
+#: ``name`` picks, or -1 where it raises or finds no one tree.  A batch form
+#: raises only errors that hold for every row, and ``HypothesisBank.detect``,
+#: the one place that catches them, gives every row -1.  ``fmst`` picks each
+#: row's tree as the heaviest hypothesis under the rank weights of its
+#: |relaxed flow|, Kruskal's tree exactly (``HypothesisBank.max_weight_trees``).
 DETECTOR_BATCHES = {
+    "deterministic": _deterministic_batch,
+    "enum": _enumeration_batch,
     "map": lambda bank: _first_best(bank.table()),
+    "zeroflow": lambda b: _first_best(_zero_flow_scores(b.cache, b.trees[: b.n_hypotheses], b.readings)),
     "fmst": _fmst_batch,
     "cycledescent": lambda bank: _descent_walk(bank, bank.starts())[0],
 }
+DETECTOR_NAMES = tuple(DETECTOR_BATCHES)

@@ -13,9 +13,8 @@ it together, one row per trial, up to ``_LOAD_ROWS`` rows, so a load holds
 at most max(trials, _LOAD_ROWS) x hypotheses scores.  A hypothesis's score
 column is filled on first use, and only for the rows whose sensor support
 it holds; the others are -inf, which ``detect._sensor_support`` shows is
-exact.  ``map``, ``fmst`` and ``cycledescent`` run as batch forms over the
-loaded rows (``detect.DETECTOR_BATCHES``), as does the local search; the
-other detectors run row by row through ``detect.DETECTORS``.  Every miss
+exact.  Every detector runs as its batch form over the loaded rows
+(``detect.DETECTOR_BATCHES``), as does the local search, and every miss
 count equals the one the per-call detectors give.
 
 Reproducibility contract: every random draw comes from a generator seeded by

@@ -483,8 +483,10 @@ class TestParserReuse:
 
 
 class TestSweepBytes:
-    #: sha256 of the fmst sweep captures of ``acceptance_csvs.py``, as
-    #: sweeps that took each row's tree from Kruskal wrote them
+    #: sha256 of sweep captures of ``acceptance_csvs.py``: the fmst sweeps, as
+    #: sweeps that took each row's tree from Kruskal wrote them, and the
+    #: zeroflow, enum and deterministic sweeps, as sweeps that ran those
+    #: detectors trial by trial, through their per-call functions, wrote them
     DIGESTS = {
         "sweep_fmst_3.csv": "fd6e3fbff50adde49220d8deced25538b4a533b8ac8cee829f169072d9c4cf2f",
         "sweep_fmst_40.csv": "386c18af34927862fef65324cffda543d1643caafb7879ba4fe80eaa6818cf07",
@@ -494,9 +496,21 @@ class TestSweepBytes:
         "sweep_fmst_notau_40.csv": "eebd9cc9f843b253e766634119153feb6237b19a3cd5eecebdb8bff5816b757a",
         "sweep_fmst_local_notau_3.csv": "856bf71045a7d0d46781cffa3318affe0115c0cba2a5f5aabe5444f5381edb08",
         "sweep_fmst_local_notau_40.csv": "6223a5b8f51c2138fcff0a447705a1e7a9d4937febb27538fabccb503eb79668",
+        "sweep_zeroflow_3.csv": "5df9cd5e71104f4c03d5bc1e6a6dd6558adbdeff74c1ec74b8f1686882fc19af",
+        "sweep_zeroflow_40.csv": "8a132171c7abd36747b2f702036e89bf4e13f7a9311f4cc6bd93c0c88c61f9ae",
+        "sweep_zeroflow_local_3.csv": "480732ee84186149c0b70ef87d8475676b1be0b3c05edbc21319d7c61ceb7c31",
+        "sweep_zeroflow_local_40.csv": "e42e4ce38fdd15d9faddf59525a6f16e6f2f230babc266322577d6e9d6883c4a",
+        "sweep_enum_3.csv": "63a6ac099ca2468fd8fe37614c087c436257bbfb79186c757a98f9cf0d672561",
+        "sweep_enum_40.csv": "4b9e8e226883dee6ffdbba30c00f6028c97877a4b608c94a02e3d940e451ae2d",
+        "sweep_enum_local_3.csv": "d93d415dc4c7a13a317e5b98ba6f71a1919324a52a83f86a8c87a7a2936fe11e",
+        "sweep_enum_local_40.csv": "67a0e2017d43bbae95d36ca7890dc9af791330d82767cb2062628d22d3532fb4",
+        "sweep_deterministic_3.csv": "3479f6fbb531806a205d0a0af3ee3cd5ee85bdd5256cdbc21dfa53ed0c7dd661",
+        "sweep_deterministic_40.csv": "7b4386fdd491700d32e42e1fddcbd1fda92dfa4d388e6849c1486f9bfe4bc5d0",
+        "sweep_deterministic_local_3.csv": "cb62468f04125dc9e6bf5734c9bc89ff34795c7be27822b5541d439086961cd3",
+        "sweep_deterministic_local_40.csv": "dbf44299a73f860036f951eaa004a95e047700f756a4d5d9f052853a0cc7bf40",
     }
 
-    def test_fmst_sweeps_keep_their_bytes(self, tmp_path, capsys):
+    def test_sweeps_keep_their_bytes(self, tmp_path, capsys):
         import acceptance_csvs
 
         assert acceptance_csvs.main([str(tmp_path), *self.DIGESTS]) == 0

@@ -20,6 +20,8 @@ from gridtree import (
     consumption_vector,
     count_spanning_trees,
     detect_cycle_descent,
+    detect_deterministic,
+    detect_enumeration_oracle,
     detect_fmst,
     detect_map,
     detect_zero_flow_map,
@@ -208,6 +210,13 @@ def _per_call_tree(name, local, graph, placement, model, s, required, cache):
             tree = detect_fmst(graph, placement, model, s, required).tree
         elif name == "zeroflow":
             tree = detect_zero_flow_map(graph, placement, model, s, required, cache=cache).tree
+        elif name == "enum":
+            hits = detect_enumeration_oracle(graph, placement, model.means, s, required)
+            if len(hits) != 1:
+                return None
+            tree = hits[0]
+        elif name == "deterministic":
+            tree = detect_deterministic(graph, placement, model.means, s, required).tree
         else:
             tree = detect_cycle_descent(graph, placement, model, s, cache=cache, required_edges=required).tree
         if local:
@@ -228,7 +237,8 @@ def test_sweep_cells_equal_the_per_call_detectors(seed, sigma, trials):
     model = LoadModel(graph.load_vertices, means, np.ones(len(means)))
     trees = list(enumerate_spanning_trees(graph, required))
     cells = rng.choice(len(trees), size=min(3, len(trees)), replace=False)
-    for local, names in ((False, ("map", "fmst", "cycledescent")), (True, ("map", "fmst"))):
+    block = ("zeroflow", "enum", "deterministic")
+    for local, names in ((False, ("map", "fmst", "cycledescent", *block)), (True, ("map", "fmst", *block))):
         config = ExperimentConfig(
             graph=graph, load_model=model, placements=(placement,), sigmas=(sigma,),
             trials=trials, detectors=names, seed=seed % 1000, restriction=required,
@@ -265,10 +275,37 @@ def test_bank_rows_without_a_start_stay_misses(seed, n_rows):
     bank = HypothesisBank(cache, required, trees, np.array(readings))
     starts = bank.starts()
     assert (starts < 0).any() and (starts >= 0).any()
-    for name, local in (("cycledescent", False), ("cycledescent", True), ("zeroflow", True)):
+    for name, local in (
+        ("cycledescent", False), ("cycledescent", True), ("zeroflow", True),
+        ("zeroflow", False), ("enum", False), ("deterministic", False),
+    ):
         picks = bank.detect(name, local_search=local)
         for s, pick in zip(readings, picks.tolist()):
             want = _per_call_tree(name, local, graph, placement, model, s, required, cache)
+            assert (None if pick < 0 else bank.trees[pick]) == want
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_oracles_equal_their_per_call_forms(seed):
+    # readings exact under the forecast means, so that the enumeration oracle
+    # and the deterministic decoder find the true tree, and every third row
+    # off by 1e-3, so that they find none
+    rng, graph, placement, means, required = _problem(seed)
+    model = LoadModel(graph.load_vertices, means, np.full(len(means), 0.04))
+    trees = list(enumerate_spanning_trees(graph, required))
+    truth = rng.integers(len(trees), size=9)
+    readings = np.array([hypothesis_flow(graph, trees[t], placement, means) for t in truth])
+    readings[::3] += 1e-3 * rng.standard_normal(readings[::3].shape)
+    cache = HypothesisCache(graph, placement, model)
+    bank = HypothesisBank(cache, required, trees, readings)
+    for name in ("zeroflow", "enum", "deterministic"):
+        picks = bank.detect(name)
+        if name != "zeroflow" and placement.edge_ids:  # with no sensor, every row fits the one tree
+            exact = np.arange(9) % 3 > 0
+            assert (picks[exact] == truth[exact]).all() and (picks[~exact] < 0).all()
+        for s, pick in zip(readings, picks.tolist()):
+            want = _per_call_tree(name, False, graph, placement, model, s, required, cache)
             assert (None if pick < 0 else bank.trees[pick]) == want
 
 

@@ -20,6 +20,7 @@ from gridtree import (
     Placement,
     SpanningTree,
     UnknownEdgeError,
+    UnsupportedPlacementError,
     count_spanning_trees,
     detect_cycle_descent,
     detect_fmst,
@@ -263,6 +264,29 @@ class TestStochasticSweep:
         report = run_stochastic_sweep(config)
         assert len(report.rows) == 44
         assert all(r.misses == r.trials == 3 for r in report.rows)
+
+    def test_oversized_placement_makes_every_zeroflow_row_a_miss(self, island):
+        # one sensor more than the circuit rank: the zero-flow test refuses the
+        # whole block, and every trial of every cell is a miss; MAP still runs
+        pl = Placement((6, 7, 10, 12, 4))
+        cache = gridtree.detect.HypothesisCache(island.graph, pl, island.load_model)
+        bank = gridtree.detect.HypothesisBank(cache, island.tau, cache.hypotheses(island.tau), np.ones((2, 5)))
+        with pytest.raises(UnsupportedPlacementError, match="needs exactly 4 sensors, got 5"):
+            gridtree.detect.DETECTOR_BATCHES["zeroflow"](bank)
+        config = ExperimentConfig(
+            graph=island.graph,
+            load_model=island.load_model,
+            placements=(pl,),
+            sigmas=(0.1,),
+            trials=3,
+            detectors=("zeroflow", "map"),
+            seed=1,
+            restriction=island.tau,
+        )
+        report = run_stochastic_sweep(config)
+        rows = report.filtered(detector="zeroflow")
+        assert len(rows) == 44 and all(r.misses == r.trials == 3 for r in rows)
+        assert report.rate(detector="map") < 0.5
 
     def test_workers_below_one_rejected(self, island, tau_family):
         config = ExperimentConfig(
